@@ -394,8 +394,7 @@ def measure_adversary(n_envs, backend, steps_per_rollout, repeats, baseline=Fals
             trainer.collect_rollout()
         elapsed = time.perf_counter() - start
     finally:
-        if backend == "subproc" and trainer.vec_env is not None:
-            trainer.vec_env.close()
+        trainer.close()
     return n_steps * n_envs * repeats / elapsed
 
 

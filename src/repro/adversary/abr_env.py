@@ -334,14 +334,13 @@ def train_abr_adversary(
 ) -> AbrAdversaryResult:
     """Train an adversary against a frozen ABR protocol.
 
-    ``n_envs > 1`` collects rollouts from that many parallel env copies
-    (each with its own copy of the frozen target, sharing the video);
-    ``n_envs == 1`` is the exact historical single-env path.  Either way
-    the run is fully determined by ``seed``.  ``vec_backend`` picks the
-    collection backend: ``"sync"`` (default) steps the copies in-process
-    and exploits the batched ``r_opt`` solver, ``"subproc"`` gives each
-    copy a worker process, and ``"batched"`` advances every world inside
-    one fully vectorized
+    Rollouts are collected from ``n_envs`` env copies through one vec env
+    (each copy with its own copy of the frozen target, sharing the video);
+    a single env is simply a one-env vec env.  The run is fully determined
+    by ``seed``.  ``vec_backend`` picks the collection backend: ``"sync"``
+    (default) steps the copies in-process and exploits the batched
+    ``r_opt`` solver, ``"subproc"`` gives each copy a worker process, and
+    ``"batched"`` advances every world inside one fully vectorized
     :class:`~repro.adversary.batched_env.BatchedAbrVecEnv` -- a single
     batched target-policy call and one frame-ring scatter per step, the
     fastest choice by a wide margin for NN targets (see
@@ -361,29 +360,21 @@ def train_abr_adversary(
             smoothing_weight=smoothing_weight, goal=goal,
         )
 
-    if cfg.n_envs == 1:
-        env = AbrAdversaryEnv(
-            target, video, weights=weights, smoothing_weight=smoothing_weight,
-            goal=goal,
-        )
-        trainer = PPO(env, cfg, seed=seed, recorder=recorder)
-        history = trainer.learn(total_steps, callback=callback)
+    vec: VecEnv
+    if cfg.vec_backend == "subproc":
+        vec = SubprocVecEnv([make_env] * cfg.n_envs)
+        env = make_env()
+    elif cfg.vec_backend == "batched":
+        env = make_env()
+        vec = env.batched_vec_env(cfg.n_envs)
     else:
-        vec: VecEnv
+        vec = SyncVecEnv([make_env] * cfg.n_envs)
+        env = vec.envs[0]
+    try:
+        trainer = PPO(vec, cfg, seed=seed, recorder=recorder)
+        history = trainer.learn(total_steps, callback=callback)
+    finally:
+        # An exception mid-training must not strand forked workers.
         if cfg.vec_backend == "subproc":
-            vec = SubprocVecEnv([make_env] * cfg.n_envs)
-            env = make_env()
-        elif cfg.vec_backend == "batched":
-            env = make_env()
-            vec = env.batched_vec_env(cfg.n_envs)
-        else:
-            vec = SyncVecEnv([make_env] * cfg.n_envs)
-            env = vec.envs[0]
-        try:
-            trainer = PPO(vec, cfg, seed=seed, recorder=recorder)
-            history = trainer.learn(total_steps, callback=callback)
-        finally:
-            # An exception mid-training must not strand forked workers.
-            if cfg.vec_backend == "subproc":
-                vec.close()
+            vec.close()
     return AbrAdversaryResult(trainer=trainer, env=env, history=history)

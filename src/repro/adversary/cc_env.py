@@ -209,18 +209,18 @@ def train_cc_adversary(
     each, split into 200 training iterations"; ``total_steps`` scales that
     down for laptop runs.
 
-    ``n_envs > 1`` collects rollouts from that many parallel emulators.
-    Each env gets its own base seed spawned from
+    Rollouts are collected from ``n_envs`` emulators through one vec env.
+    A single env is seeded with ``seed`` itself; with ``n_envs > 1`` each
+    env gets its own base seed spawned from
     ``np.random.SeedSequence(seed)``, so the emulators' loss processes are
     independent across envs yet the whole run is reproducible from
-    ``seed`` alone; ``n_envs == 1`` is the exact historical single-env
-    path.  ``vec_backend="subproc"`` runs one emulator per worker process
-    (:class:`~repro.rl.vec_env.SubprocVecEnv`) -- the right choice here,
-    since the CC env's cost is the per-packet event loop itself -- and
-    produces the same rollouts as the default in-process backend; the
-    workers are shut down when training completes (even when training
-    raises) and the returned ``env`` is a fresh local instance with env
-    0's seed, ready for rollouts.  ``recorder`` receives the trainer's
+    ``seed`` alone.  ``vec_backend="subproc"`` runs one emulator per
+    worker process (:class:`~repro.rl.vec_env.SubprocVecEnv`) -- the right
+    choice here, since the CC env's cost is the per-packet event loop
+    itself -- and produces the same rollouts as the default in-process
+    backend; the workers are shut down when training completes (even when
+    training raises) and the returned ``env`` is a fresh local instance
+    with env 0's seed, ready for rollouts.  ``recorder`` receives the trainer's
     per-update diagnostics (see :class:`~repro.rl.ppo.PPO`).
     """
     cfg = config or default_cc_adversary_config()
@@ -246,31 +246,24 @@ def train_cc_adversary(
 
         return build
 
-    if cfg.n_envs == 1:
-        env = CcAdversaryEnv(
-            sender_factory,
-            episode_intervals=episode_intervals,
-            smoothing_weight=smoothing_weight,
-            seed=seed,
-            goal=goal,
-        )
-        trainer = PPO(env, cfg, seed=seed, recorder=recorder)
-        history = trainer.learn(total_steps, callback=callback)
+    # The seed rule (pinned by the CC goldens): one env keeps ``seed``
+    # itself, several get independent SeedSequence children.
+    env_seeds = [seed] if cfg.n_envs == 1 else [
+        int(c.generate_state(1)[0] % (2**31 - 1))
+        for c in np.random.SeedSequence(seed).spawn(cfg.n_envs)
+    ]
+    vec: VecEnv
+    if cfg.vec_backend == "subproc":
+        vec = SubprocVecEnv([make_env(s) for s in env_seeds])
+        env = make_env(env_seeds[0])()
     else:
-        children = np.random.SeedSequence(seed).spawn(cfg.n_envs)
-        env_seeds = [int(c.generate_state(1)[0] % (2**31 - 1)) for c in children]
-        vec: VecEnv
+        vec = SyncVecEnv([make_env(s) for s in env_seeds])
+        env = vec.envs[0]
+    try:
+        trainer = PPO(vec, cfg, seed=seed, recorder=recorder)
+        history = trainer.learn(total_steps, callback=callback)
+    finally:
+        # An exception mid-training must not strand forked workers.
         if cfg.vec_backend == "subproc":
-            vec = SubprocVecEnv([make_env(s) for s in env_seeds])
-            env = make_env(env_seeds[0])()
-        else:
-            vec = SyncVecEnv([make_env(s) for s in env_seeds])
-            env = vec.envs[0]
-        try:
-            trainer = PPO(vec, cfg, seed=seed, recorder=recorder)
-            history = trainer.learn(total_steps, callback=callback)
-        finally:
-            # An exception mid-training must not strand forked workers.
-            if cfg.vec_backend == "subproc":
-                vec.close()
+            vec.close()
     return CcAdversaryResult(trainer=trainer, env=env, history=history)

@@ -16,6 +16,7 @@ counter stays exact.
 
 from __future__ import annotations
 
+import math
 from collections import deque
 
 from repro.cc.packet import Packet
@@ -48,10 +49,11 @@ class TimeVaryingLink:
         self, bandwidth_mbps: float, latency_ms: float, loss_rate: float
     ) -> None:
         """Apply a new (bandwidth, latency, loss) tuple."""
-        if bandwidth_mbps <= 0:
-            raise ValueError(f"bandwidth must be positive, got {bandwidth_mbps}")
-        if latency_ms < 0:
-            raise ValueError(f"latency cannot be negative, got {latency_ms}")
+        # NaN fails every comparison, so finiteness is checked first.
+        if not (math.isfinite(bandwidth_mbps) and bandwidth_mbps > 0):
+            raise ValueError(f"bandwidth must be finite and positive, got {bandwidth_mbps}")
+        if not (math.isfinite(latency_ms) and latency_ms >= 0):
+            raise ValueError(f"latency must be finite and non-negative, got {latency_ms}")
         if not 0.0 <= loss_rate <= 1.0:
             raise ValueError(f"loss rate must be in [0, 1], got {loss_rate}")
         self.bandwidth_mbps = float(bandwidth_mbps)

@@ -580,10 +580,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--smoothing-weight", type=float, default=1.0)
     p.add_argument("--goal", choices=("qoe_regret", "rebuffer"), default="qoe_regret")
     p.add_argument("--n-envs", type=int, default=1,
-                   help="parallel rollout envs (1 = historical serial path)")
+                   help="parallel rollout envs (1 = a one-env vec env)")
     p.add_argument("--vec-backend", choices=("sync", "subproc", "batched"),
                    default="sync",
-                   help="rollout backend for --n-envs > 1; 'batched' serves "
+                   help="rollout vec-env backend; 'batched' serves "
                         "the target with one vectorized call per step "
                         "(same rollouts bit for bit, fastest for pensieve)")
     p.add_argument("--out", help="save the trained model (.npz)")

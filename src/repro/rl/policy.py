@@ -167,9 +167,7 @@ class ActorCritic:
         Returns ``(actions, log_probs, values)`` with leading dimension
         ``n``; actions are ``(n,)`` ints for discrete spaces and ``(n, d)``
         unclipped floats for boxes.  On a single-row batch this performs
-        exactly the same forward pass and random draws as :meth:`act`, so
-        a vectorized rollout of one env is bitwise identical to the
-        scalar loop.
+        exactly the same forward pass and random draws as :meth:`act`.
         """
         obs = np.atleast_2d(np.asarray(obs, dtype=float))
         dist = self.distribution(obs)

@@ -82,8 +82,15 @@ class Box(Space):
         return np.clip(np.asarray(x, dtype=float), self.low, self.high)
 
     def scale_from_unit(self, u) -> np.ndarray:
-        """Map ``u`` in [-1, 1]^d affinely onto the box."""
-        u = np.clip(np.asarray(u, dtype=float), -1.0, 1.0)
+        """Map ``u`` in [-1, 1]^d affinely onto the box.
+
+        Finite values outside [-1, 1] are clipped; NaN or infinite ones
+        raise :class:`ValueError` (clipping would pass NaN through).
+        """
+        u = np.asarray(u, dtype=float)
+        if not np.isfinite(u).all():
+            raise ValueError(f"action must be finite, got {u}")
+        u = np.clip(u, -1.0, 1.0)
         return self.low + (u + 1.0) * 0.5 * (self.high - self.low)
 
     def to_unit(self, x) -> np.ndarray:

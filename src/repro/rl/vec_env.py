@@ -1,7 +1,9 @@
 """Vectorized environments for batched rollout collection.
 
-Two interchangeable backends implement the same VecEnv interface
-(``reset``/``step``/``close`` with auto-reset and terminal observations):
+Every PPO rollout is collected through a :class:`VecEnv`; a single env is
+simply a one-env :class:`SyncVecEnv`.  Two interchangeable backends
+implement the same VecEnv interface (``reset``/``step``/``close`` with
+auto-reset and terminal observations):
 
 - :class:`SyncVecEnv` steps ``n_envs`` independent environment instances
   in lockstep inside the calling process, so the PPO rollout loop can
@@ -13,12 +15,12 @@ Two interchangeable backends implement the same VecEnv interface
   advance on separate cores, with IPC per vec-step scaling with the
   worker count rather than the env count.
 
-Semantics match the single-env PPO loop exactly, on both backends:
+Both backends share these semantics:
 
 - **Auto-reset.**  When an env reports ``done`` its terminal observation is
   stashed in ``info["terminal_observation"]`` and the env is immediately
-  reset (seedless, like the single-env loop), so :meth:`step` always
-  returns a valid next observation for every env.
+  reset (seedless), so :meth:`step` always returns a valid next
+  observation for every env.
 - **Seeding.**  ``reset(seed=s)`` with one env forwards ``s`` verbatim, so
   a one-env VecEnv reproduces ``Env.reset(seed=s)`` bit for bit.  With
   several envs, ``np.random.SeedSequence(s)`` is spawned into one child
@@ -136,6 +138,9 @@ class SyncVecEnv(VecEnv):
             if env.action_space != self.action_space:
                 raise ValueError("all envs must share one action space")
         self._batch_step = self._resolve_batch_step()
+        self._obs_shape = (self.n_envs,) + tuple(
+            getattr(self.observation_space, "shape", ())
+        )
 
     def _resolve_batch_step(self):
         cls = type(self.envs[0])
@@ -169,21 +174,21 @@ class SyncVecEnv(VecEnv):
         if self._batch_step is not None:
             results = self._batch_step(self.envs, actions)
         else:
-            results = [env.step(actions[i]) for i, env in enumerate(self.envs)]
-        obs_rows: list[np.ndarray] = []
-        rewards = np.zeros(self.n_envs)
-        dones = np.zeros(self.n_envs, dtype=bool)
+            results = [env.step(a) for env, a in zip(self.envs, actions)]
+        obs_rows = np.empty(self._obs_shape)
+        rewards = np.empty(self.n_envs)
+        dones = np.empty(self.n_envs, dtype=bool)
         infos: list[dict] = []
         for i, (obs, reward, done, info) in enumerate(results):
             if done:
                 info = dict(info)
                 info["terminal_observation"] = np.asarray(obs, dtype=float)
                 obs = self.envs[i].reset()
-            obs_rows.append(np.asarray(obs, dtype=float))
+            obs_rows[i] = obs
             rewards[i] = reward
             dones[i] = done
             infos.append(info)
-        return np.stack(obs_rows), rewards, dones, infos
+        return obs_rows, rewards, dones, infos
 
     def close(self) -> None:
         for env in self.envs:

@@ -34,6 +34,16 @@ class TestActionMapping:
         assert env.action_to_bandwidth(np.array([5.0])) == ABR_BW_HIGH_MBPS
         assert env.action_to_bandwidth(np.array([-5.0])) == ABR_BW_LOW_MBPS
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_action_rejected(self, env, bad):
+        env.reset(seed=0)
+        with pytest.raises(ValueError):
+            env.step(np.array([bad]))
+        # Rejected before the world advances: the episode is intact.
+        assert env.chosen_bandwidths() == []
+        _, reward, _, _ = env.step(np.array([0.0]))
+        assert np.isfinite(reward)
+
     def test_invalid_bounds_rejected(self, video):
         with pytest.raises(ValueError):
             AbrAdversaryEnv(BufferBased(), video, bw_low_mbps=2.0, bw_high_mbps=1.0)

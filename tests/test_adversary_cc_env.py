@@ -29,6 +29,13 @@ class TestTable1ActionSpace:
         assert lat == 15.0
         assert loss == pytest.approx(0.05)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_action_rejected(self, env, bad):
+        env.reset()
+        with pytest.raises(ValueError):
+            env.step(np.array([0.0, bad, 0.0]))
+        assert env.action_log == []
+
     def test_interval_is_30ms(self, env):
         assert env.interval_s == pytest.approx(0.030)
 

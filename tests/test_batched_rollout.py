@@ -100,6 +100,17 @@ def test_stochastic_pensieve_matches_sync():
     assert_lockstep_equal(sync, batched, 4, steps=25)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_action_rejected(bad):
+    vec = AbrAdversaryEnv(BufferBased(), VIDEO).batched_vec_env(4)
+    vec.reset(seed=0)
+    actions = np.zeros((4, 1))
+    actions[2, 0] = bad
+    with pytest.raises(ValueError):
+        vec.step(actions)
+    vec.close()
+
+
 def test_mixed_target_batch_matches_sync():
     # One heterogeneous width-6 batch: the backend groups lanes by
     # target and dispatches each group through its own adapter.

@@ -21,6 +21,20 @@ class TestTimeVaryingLink:
         with pytest.raises(ValueError):
             link.set_conditions(10.0, 40.0, 1.5)
 
+    @pytest.mark.parametrize(
+        "bandwidth, latency",
+        [(float("nan"), 40.0), (float("inf"), 40.0), (10.0, float("nan")),
+         (10.0, float("inf"))],
+    )
+    def test_non_finite_conditions_rejected(self, bandwidth, latency):
+        link = TimeVaryingLink(10.0, 40.0)
+        with pytest.raises(ValueError):
+            link.set_conditions(bandwidth, latency, 0.0)
+        with pytest.raises(ValueError):
+            TimeVaryingLink(bandwidth, latency)
+        # The rejected tuple leaves the previous conditions in force.
+        assert (link.bandwidth_mbps, link.latency_ms) == (10.0, 40.0)
+
     def test_queue_size_validation(self):
         with pytest.raises(ValueError):
             TimeVaryingLink(10.0, 40.0, queue_packets=0)

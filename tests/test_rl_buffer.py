@@ -6,9 +6,17 @@ import pytest
 from repro.rl.buffer import RolloutBuffer
 
 
+def add(buffer, reward, done, value, action=0):
+    """Store one one-env time step through ``add_batch``."""
+    buffer.add_batch(
+        np.zeros((1, buffer.obs_dim)), np.array([action]), np.array([reward]),
+        np.array([done]), np.array([value]), np.zeros(1),
+    )
+
+
 def fill(buffer, rewards, values, dones):
     for r, v, d in zip(rewards, values, dones):
-        buffer.add(np.zeros(buffer.obs.shape[1]), 0, r, d, v, 0.0)
+        add(buffer, r, d, v)
 
 
 class TestRolloutBuffer:
@@ -16,7 +24,7 @@ class TestRolloutBuffer:
         buf = RolloutBuffer(2, 1, 1, discrete=True)
         fill(buf, [1, 1], [0, 0], [False, False])
         with pytest.raises(RuntimeError):
-            buf.add(np.zeros(1), 0, 1.0, False, 0.0, 0.0)
+            add(buf, 1.0, False, 0.0)
 
     def test_invalid_capacity_raises(self):
         with pytest.raises(ValueError):
@@ -27,26 +35,26 @@ class TestRolloutBuffer:
         buf = RolloutBuffer(2, 1, 1, discrete=True)
         fill(buf, [1.0, 2.0], [0.5, 1.0], [False, False])
         gamma, lam, last_v = 0.9, 0.8, 3.0
-        buf.compute_gae(last_v, gamma, lam)
+        buf.compute_gae(np.array([last_v]), gamma, lam)
         delta1 = 2.0 + gamma * last_v - 1.0
         delta0 = 1.0 + gamma * 1.0 - 0.5
         adv1 = delta1
         adv0 = delta0 + gamma * lam * adv1
-        np.testing.assert_allclose(buf.advantages[:2], [adv0, adv1])
-        np.testing.assert_allclose(buf.returns[:2], [adv0 + 0.5, adv1 + 1.0])
+        np.testing.assert_allclose(buf.advantages[:2, 0], [adv0, adv1])
+        np.testing.assert_allclose(buf.returns[:2, 0], [adv0 + 0.5, adv1 + 1.0])
 
     def test_gae_does_not_bootstrap_across_done(self):
         buf = RolloutBuffer(2, 1, 1, discrete=True)
         fill(buf, [1.0, 1.0], [0.5, 0.5], [True, False])
-        buf.compute_gae(10.0, 0.99, 0.95)
+        buf.compute_gae(np.array([10.0]), 0.99, 0.95)
         # First step ends an episode: advantage is just r - V.
-        np.testing.assert_allclose(buf.advantages[0], 1.0 - 0.5)
+        np.testing.assert_allclose(buf.advantages[0, 0], 1.0 - 0.5)
 
     def test_terminal_last_value_ignored_when_done(self):
         buf = RolloutBuffer(1, 1, 1, discrete=True)
         fill(buf, [2.0], [0.0], [True])
-        buf.compute_gae(100.0, 0.99, 0.95)
-        np.testing.assert_allclose(buf.advantages[0], 2.0)
+        buf.compute_gae(np.array([100.0]), 0.99, 0.95)
+        np.testing.assert_allclose(buf.advantages[0, 0], 2.0)
 
     def test_gae_lambda_one_equals_monte_carlo(self):
         buf = RolloutBuffer(3, 1, 1, discrete=True)
@@ -54,14 +62,14 @@ class TestRolloutBuffer:
         values = [0.1, 0.2, 0.3]
         fill(buf, rewards, values, [False, False, True])
         gamma = 0.9
-        buf.compute_gae(0.0, gamma, 1.0)
+        buf.compute_gae(np.array([0.0]), gamma, 1.0)
         mc0 = 1.0 + gamma * 2.0 + gamma**2 * 3.0
-        np.testing.assert_allclose(buf.returns[0], mc0, rtol=1e-12)
+        np.testing.assert_allclose(buf.returns[0, 0], mc0, rtol=1e-12)
 
     def test_empty_gae_raises(self):
         buf = RolloutBuffer(2, 1, 1, discrete=True)
         with pytest.raises(RuntimeError):
-            buf.compute_gae(0.0, 0.99, 0.95)
+            buf.compute_gae(np.array([0.0]), 0.99, 0.95)
 
     def test_minibatches_cover_all_indices(self):
         buf = RolloutBuffer(10, 1, 1, discrete=True)
@@ -72,8 +80,8 @@ class TestRolloutBuffer:
 
     def test_continuous_action_storage(self):
         buf = RolloutBuffer(2, 2, 3, discrete=False)
-        buf.add(np.zeros(2), np.array([1.0, 2.0, 3.0]), 0.0, False, 0.0, 0.0)
-        np.testing.assert_allclose(buf.actions[0], [1.0, 2.0, 3.0])
+        add(buf, 0.0, False, 0.0, action=np.array([1.0, 2.0, 3.0]))
+        np.testing.assert_allclose(buf.actions[0, 0], [1.0, 2.0, 3.0])
 
     def test_mean_episode_reward(self):
         buf = RolloutBuffer(5, 1, 1, discrete=True)
@@ -93,4 +101,4 @@ class TestRolloutBuffer:
         buf.reset()
         assert not buf.full
         fill(buf, [2.0], [0.0], [False])
-        assert buf.rewards[0] == 2.0
+        assert buf.rewards[0, 0] == 2.0

@@ -72,6 +72,12 @@ class TestBox:
         np.testing.assert_allclose(box.scale_from_unit([5.0]), [10.0])
         np.testing.assert_allclose(box.scale_from_unit([-5.0]), [0.0])
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_scale_from_unit_rejects_non_finite(self, bad):
+        box = Box([0.0, 0.0], [10.0, 10.0])
+        with pytest.raises(ValueError):
+            box.scale_from_unit([0.0, bad])
+
     def test_unit_midpoint(self):
         box = Box([0.8], [4.8])
         np.testing.assert_allclose(box.scale_from_unit([0.0]), [2.8])

@@ -1,7 +1,7 @@
 """Tests for the vec-env backends (repro.rl.vec_env) and PPO integration.
 
 The load-bearing guarantees are exact equivalences: a one-env VecEnv must
-reproduce the single-env ``collect_rollout`` path bit for bit,
+reproduce ``Env.reset(seed=...)`` bit for bit,
 ``AbrAdversaryEnv.batch_step`` must return exactly what stepping each env
 individually would, and ``SubprocVecEnv`` must produce the same rollouts
 as ``SyncVecEnv`` for the same seed.
@@ -101,31 +101,35 @@ class TestSyncVecEnvBasics:
             make_vec_env(MatchParityEnv, 0)
 
 
-class TestSingleEnvEquivalence:
-    """SyncVecEnv(n_envs=1) must reproduce the legacy PPO path bitwise."""
+class ClosableParityEnv(MatchParityEnv):
+    closed = False
 
-    @pytest.mark.parametrize("env_cls", [MatchParityEnv, TargetPointEnv])
-    def test_collect_rollout_matches_step_for_step(self, env_cls):
-        cfg = PPOConfig(n_steps=64, batch_size=32)
-        single = PPO(env_cls(), cfg, seed=5)
-        vec = PPO(SyncVecEnv([env_cls]), PPOConfig(n_steps=64, batch_size=32), seed=5)
-        single.collect_rollout()
-        vec.collect_rollout()
-        buf_s, buf_v = single.buffer, vec.buffer
-        assert buf_s.pos == buf_v.pos
-        for name in ("obs", "actions", "rewards", "dones", "values", "log_probs"):
-            a, b = getattr(buf_s, name), getattr(buf_v, name)
-            assert np.array_equal(a, b), f"buffer field {name} diverged"
+    def close(self) -> None:
+        self.closed = True
 
-    def test_learn_matches_bitwise(self):
-        cfg = lambda: PPOConfig(n_steps=64, batch_size=32, hidden=(8,))
-        single = PPO(MatchParityEnv(), cfg(), seed=3)
-        vec = PPO(SyncVecEnv([MatchParityEnv]), cfg(), seed=3)
-        hist_s = single.learn(128)
-        hist_v = vec.learn(128)
-        for ws, wv in zip(single.policy.get_weights(), vec.policy.get_weights()):
-            assert np.array_equal(ws, wv)
-        assert hist_s[-1]["mean_episode_reward"] == hist_v[-1]["mean_episode_reward"]
+
+class TestBareEnvTraining:
+    """A bare env at n_envs == 1 is the only env of a one-env SyncVecEnv."""
+
+    def test_bare_env_steps_in_place_and_stays_open(self):
+        env = ClosableParityEnv()
+        trainer = PPO(env, PPOConfig(n_steps=32, batch_size=32, hidden=(8,)), seed=0)
+        assert trainer.env is env
+        assert isinstance(trainer.vec_env, SyncVecEnv)
+        assert trainer.vec_env.n_envs == 1
+        assert trainer.vec_env.envs[0] is env
+        history = trainer.learn(64)
+        assert history[-1]["steps"] == 64
+        trainer.close()
+        assert not env.closed
+
+    @pytest.mark.parametrize("backend", ["subproc", "batched"])
+    def test_bare_env_ignores_backend(self, backend):
+        cfg = PPOConfig(n_steps=32, batch_size=32, hidden=(8,), vec_backend=backend)
+        env = MatchParityEnv()
+        trainer = PPO(env, cfg, seed=0)
+        assert isinstance(trainer.vec_env, SyncVecEnv)
+        assert trainer.vec_env.envs[0] is env
 
 
 class TestAbrBatchStep:
@@ -375,7 +379,7 @@ class TestVecPPOTraining:
     def test_n_envs_4_learns_and_reports_history(self):
         ppo = PPO(MatchParityEnv(), PPOConfig(n_steps=32, batch_size=32, n_envs=4),
                   seed=0)
-        assert ppo.vec_env is not None and ppo.vec_env.n_envs == 4
+        assert ppo.vec_env.n_envs == 4
         history = ppo.learn(256)
         assert history[-1]["steps"] == 256
         assert np.isfinite(history[-1]["mean_episode_reward"])
@@ -384,6 +388,14 @@ class TestVecPPOTraining:
         vec = SyncVecEnv([MatchParityEnv] * 3)
         ppo = PPO(vec, PPOConfig(n_steps=32, batch_size=48), seed=0)
         assert ppo.cfg.n_envs == 3
+
+    def test_vec_env_instance_leaves_callers_config_alone(self):
+        cfg = PPOConfig(n_steps=32, batch_size=32, hidden=(8,))
+        PPO(SyncVecEnv([MatchParityEnv] * 4), cfg, seed=0)
+        assert cfg.n_envs == 1
+        trainer = PPO(MatchParityEnv(), cfg, seed=0)
+        assert trainer.vec_env.n_envs == 1
+        assert trainer.cfg.n_envs == 1
 
     def test_vec_env_instance_conflicting_n_envs_raises(self):
         vec = SyncVecEnv([MatchParityEnv] * 3)
