@@ -10,18 +10,19 @@ At each chunk the controller:
    lookahead against the predicted throughput, simulating the buffer, and
 3. executes the first step of the best plan.
 
-The plan search is vectorized over all ``6^horizon`` combinations, so a
-full 48-chunk playback costs a few milliseconds.
+The plan search is one lane of the shared exhaustive kernel,
+:func:`~repro.abr.protocols.optimal.plan_totals`, with the buffer left
+uncapped, so a full 48-chunk playback costs a few milliseconds.
 """
 
 from __future__ import annotations
 
-import itertools
 from collections import deque
 
 import numpy as np
 
 from repro.abr.protocols.base import AbrPolicy
+from repro.abr.protocols.optimal import plan_totals
 from repro.abr.protocols.rate_based import harmonic_mean_mbps
 from repro.abr.qoe import QoEWeights
 from repro.abr.simulator import LINK_RTT_S, PACKET_PAYLOAD_PORTION, AbrObservation
@@ -49,10 +50,6 @@ class MPC(AbrPolicy):
         self.robust = robust
         self.weights = weights
         self._video: Video | None = None
-        self._combos: dict[int, np.ndarray] = {}
-        #: What the cached plan tables were built for, so a reset with a
-        #: video of a different bitrate count rebuilds them.
-        self._combos_key: tuple[int, int] | None = None
         self._qualities: np.ndarray | None = None
         # maxlen evicts the oldest error in O(1); the list-based
         # ``pop(0)`` this replaces shifted the whole window every chunk.
@@ -69,13 +66,6 @@ class MPC(AbrPolicy):
         )
         self._errors = deque(maxlen=self.window)
         self._last_prediction = None
-        key = (video.n_bitrates, self.horizon)
-        if self._combos_key != key:
-            self._combos = {
-                h: np.array(list(itertools.product(range(video.n_bitrates), repeat=h)), dtype=int)
-                for h in range(1, self.horizon + 1)
-            }
-            self._combos_key = key
 
     # -- prediction -----------------------------------------------------------
 
@@ -103,30 +93,30 @@ class MPC(AbrPolicy):
             return 0  # no information yet: start conservative
 
         steps = min(self.horizon, observation.chunks_remaining)
-        combos = self._combos[steps]
-        n = combos.shape[0]
         rate = predicted * 1e6 / 8.0 * PACKET_PAYLOAD_PORTION  # bytes/s
+        return int(self._best_first_steps(steps, [observation], [rate])[0])
 
+    def _best_first_steps(self, steps: int, observations, rates) -> np.ndarray:
+        """First step of the best ``steps``-chunk plan per observation.
+
+        One :func:`plan_totals` lane per observation, each downloading at
+        its predicted ``rates`` entry (bytes/s) with the buffer uncapped;
+        :class:`~repro.abr.batched.BatchedMPC` runs many lanes at once,
+        :meth:`select` one.
+        """
+        video = self._video
         qualities = self._qualities
-        buffer = np.full(n, observation.buffer_seconds)
-        total = np.zeros(n)
-        prev_q = (
-            None
-            if observation.last_quality is None
-            else qualities[observation.last_quality]
+        chunks = np.array([obs.chunk_index for obs in observations])
+        sizes = video.chunk_sizes_bytes[chunks[:, None] + np.arange(steps)]
+        totals = plan_totals(
+            sizes / np.asarray(rates)[:, None, None] + LINK_RTT_S,
+            [obs.buffer_seconds for obs in observations],
+            [0.0 if obs.last_quality is None else qualities[obs.last_quality]
+             for obs in observations],
+            [obs.last_quality is not None for obs in observations],
+            qualities,
+            self.weights,
+            np.inf,
+            video.chunk_seconds,
         )
-        prev = np.full(n, 0.0 if prev_q is None else prev_q)
-        first = observation.last_quality is None
-        for k in range(steps):
-            chunk = observation.chunk_index + k
-            sizes = video.chunk_sizes_bytes[chunk, combos[:, k]]
-            download = sizes / rate + LINK_RTT_S
-            rebuffer = np.maximum(download - buffer, 0.0)
-            buffer = np.maximum(buffer - download, 0.0) + video.chunk_seconds
-            quality = qualities[combos[:, k]]
-            total += quality - self.weights.rebuffer_penalty * rebuffer
-            if not (first and k == 0):
-                total -= self.weights.smooth_penalty * np.abs(quality - prev)
-            prev = quality
-        best = int(np.argmax(total))
-        return int(combos[best, 0])
+        return np.argmax(totals, axis=1) // video.n_bitrates ** (steps - 1)

@@ -1,10 +1,13 @@
 """Offline-optimal ABR given known future per-chunk bandwidth.
 
-Two solvers:
+One plan-search kernel and one dynamic program:
 
-- :func:`optimal_qoe_exhaustive` -- exact maximum QoE over a short window
-  by enumerating every plan.  This computes the adversary's ``r_opt``:
-  "the highest possible QoE over the last 4 network changes" (section 3).
+- :func:`plan_totals` -- the exact QoE of *every* bitrate plan over a
+  short window, for a batch of lanes.  It is the package's only plan
+  enumeration.  The adversary's ``r_opt`` -- "the highest possible QoE
+  over the last 4 network changes" (section 3) -- is its row max
+  (:func:`optimal_qoe_exhaustive` and its batch and mixed-length forms),
+  and MPC executes the first step of its row argmax.
 - :func:`optimal_plan_dp` -- full-video optimum by dynamic programming
   over a discretized buffer, used for the "Offline Optimum" overlay in
   Figure 3.
@@ -17,8 +20,6 @@ the download time of chunk ``i`` at quality ``q`` simply
 
 from __future__ import annotations
 
-import itertools
-
 import numpy as np
 
 from repro.abr.qoe import QoEWeights
@@ -30,25 +31,17 @@ __all__ = [
     "optimal_qoe_exhaustive",
     "optimal_qoe_exhaustive_batch",
     "optimal_qoe_exhaustive_mixed",
+    "plan_totals",
 ]
 
-#: Cached plan tables keyed by (n_bitrates, steps); building the
-#: ``n_bitrates ** steps`` product from scratch dominates a single
-#: exhaustive call, and the table is identical for every window of the
-#: same shape.
-_COMBO_CACHE: dict[tuple[int, int], np.ndarray] = {}
-
-
-def _combo_table(n_bitrates: int, steps: int) -> np.ndarray:
-    key = (n_bitrates, steps)
-    combos = _COMBO_CACHE.get(key)
-    if combos is None:
-        combos = np.array(
-            list(itertools.product(range(n_bitrates), repeat=steps)), dtype=int
-        )
-        _COMBO_CACHE[key] = combos
-    return combos
-
+#: Plan totals per lattice pass: lanes are scanned in tiles of
+#: ``_TILE_PLANS // n_plans`` (at least one).  That is 8 lanes at MPC's
+#: 5-chunk horizon (7776 plans each), where one ``(L, plans)`` pass would
+#: stream megabytes per op, and 48 lanes for a 4-chunk ``r_opt`` window,
+#: where smaller tiles only add per-op call overhead.  Every temporary
+#: stays cache-resident across the op chain; rows are independent, so
+#: tiling changes nothing at the bit level.
+_TILE_PLANS = 8 * 6**5
 
 #: Per-(ladder, weights) quality-score vectors.  ``weights.quality`` is a
 #: pure function of its inputs, so the table is reusable across the
@@ -69,17 +62,135 @@ def _quality_table(video: Video, weights: QoEWeights) -> np.ndarray:
     return cached
 
 
-def _download_times(
-    video: Video, start_chunk: int, bandwidths_mbps: np.ndarray
+def plan_totals(
+    downloads: np.ndarray,
+    start_buffers,
+    prev_values,
+    has_prev,
+    qualities: np.ndarray,
+    weights: QoEWeights,
+    buffer_cap: float,
+    chunk_seconds: float,
 ) -> np.ndarray:
-    """Matrix ``(len(bandwidths), n_bitrates)`` of download times in seconds."""
+    """Total QoE of every bitrate plan, per lane; returns ``(L, n_b ** steps)``.
+
+    ``downloads[l, k, c]`` is lane ``l``'s download time of its ``k``-th
+    window chunk at quality ``c``; ``qualities[c]`` is that quality's
+    score.  Lane ``l`` starts with ``start_buffers[l]`` seconds buffered
+    and, where ``has_prev[l]``, a previous chunk scored ``prev_values[l]``
+    (otherwise the first chunk pays no smoothing penalty).  The buffer
+    is capped at ``buffer_cap`` after each download (``np.inf``: no cap).
+
+    Column ``j`` is the plan ``itertools.product(range(n_b), repeat=steps)``
+    yields ``j``-th, so a first-max ``argmax`` keeps the enumeration's
+    tie-break and ``argmax // n_b ** (steps - 1)`` is the best first step.
+
+    The plans form a prefix lattice: level ``k`` holds one partial plan
+    per choice prefix and broadcasts ``(L, width, 1)`` buffers against
+    ``(L, 1, n_b)`` downloads into ``(L, width * n_b)`` children, child
+    ``j * n_b + c`` of prefix ``j``, so a shared prefix's buffer and
+    partial sum are computed once.  Every plan still takes the
+    elementwise op chain ``total + (q - rebuffer_penalty * rebuffer)``
+    then ``- smooth_penalty * |q - q_prev|``, so its total is bitwise the
+    one a plan-by-plan simulation gives.
+    """
+    n_lanes, steps, n_b = downloads.shape
+    start_buffers = np.asarray(start_buffers, dtype=float)
+    prev_values = np.asarray(prev_values, dtype=float)
+    has_prev = np.asarray(has_prev, dtype=bool)
+    # penalty[p, c]: the switch cost from quality p to quality c.
+    penalty = weights.smooth_penalty * np.abs(qualities[None, :] - qualities[:, None])
+    totals = np.empty((n_lanes, n_b**steps))
+    tile = max(1, _TILE_PLANS // n_b**steps)
+    # Ping-pong storage for the inner levels' totals and buffers; the
+    # last level writes straight into ``totals`` and skips the buffer.
+    scratch = np.empty((4, min(tile, n_lanes) * n_b ** (steps - 1)))
+    for t0 in range(0, n_lanes, tile):
+        t1 = min(t0 + tile, n_lanes)
+        m = t1 - t0
+        buffer = start_buffers[t0:t1, None]
+        total = np.zeros((m, 1))
+        width = 1
+        for k in range(steps):
+            last = k == steps - 1
+            size = m * width * n_b
+            download = downloads[t0:t1, None, k, :]
+            parent = buffer[:, :, None]
+            out = totals[t0:t1] if last else scratch[k % 2, :size]
+            child = out.reshape(m, width, n_b)
+            # child = total + (q - rebuffer_penalty * rebuffer), built in
+            # place; IEEE + and * commute exactly.
+            np.subtract(download, parent, out=child)
+            np.maximum(child, 0.0, out=child)
+            np.multiply(child, weights.rebuffer_penalty, out=child)
+            np.subtract(qualities, child, out=child)
+            np.add(child, total[:, :, None], out=child)
+            if k == 0:
+                # x - 0.0 == x bitwise, so a lane without a previous chunk
+                # is left exactly as if the term were skipped.
+                switch = np.abs(qualities[None, :] - prev_values[t0:t1, None])
+                child -= (weights.smooth_penalty * switch * has_prev[t0:t1, None])[:, None, :]
+            else:
+                grouped = out.reshape(m, width // n_b, n_b, n_b)
+                grouped -= penalty
+            if not last:
+                nxt = scratch[2 + k % 2, :size].reshape(m, width, n_b)
+                np.subtract(parent, download, out=nxt)
+                np.maximum(nxt, 0.0, out=nxt)
+                nxt += chunk_seconds
+                np.minimum(nxt, buffer_cap, out=nxt)
+                buffer = nxt.reshape(m, -1)
+            total = out.reshape(m, -1)
+            width *= n_b
+    return totals
+
+
+def _link_rates(bandwidths_mbps) -> np.ndarray:
+    """Payload rates in bytes/s; rejects non-finite or non-positive bandwidths."""
     rates = np.asarray(bandwidths_mbps, dtype=float) * 1e6 / 8.0 * PACKET_PAYLOAD_PORTION
-    if np.any(rates <= 0):
-        raise ValueError("bandwidths must be positive")
-    sizes = video.chunk_sizes_bytes[start_chunk : start_chunk + len(rates)]
-    if sizes.shape[0] < len(rates):
+    if not np.all(np.isfinite(rates) & (rates > 0)):
+        raise ValueError("bandwidths must be finite and positive")
+    return rates
+
+
+def _start_buffers(start_buffers_s) -> np.ndarray:
+    buffers = np.asarray(start_buffers_s, dtype=float)
+    if not np.all(np.isfinite(buffers) & (buffers >= 0)):
+        raise ValueError("start buffers must be finite and non-negative")
+    return buffers
+
+
+def _window_totals(
+    video: Video,
+    start_chunks,
+    bandwidth_windows,
+    start_buffers_s,
+    prev_qualities,
+    weights: QoEWeights,
+) -> np.ndarray:
+    """Validated :func:`plan_totals` of a batch of equal-length windows."""
+    bandwidths = np.asarray(bandwidth_windows, dtype=float)
+    if bandwidths.ndim != 2:
+        raise ValueError("bandwidth_windows must be (batch, window)")
+    steps = bandwidths.shape[1]
+    if steps == 0:
+        raise ValueError("empty bandwidth window")
+    if steps > 8:
+        raise ValueError("exhaustive search limited to 8 chunks; use optimal_plan_dp")
+    rates = _link_rates(bandwidths)
+    buffers = _start_buffers(start_buffers_s)
+    starts = np.asarray(start_chunks, dtype=int)
+    if np.any(starts < 0) or np.any(starts + steps > video.n_chunks):
         raise ValueError("bandwidth schedule runs past the end of the video")
-    return sizes / rates[:, None] + LINK_RTT_S
+    sizes = video.chunk_sizes_bytes[starts[:, None] + np.arange(steps)]
+    downloads = sizes / rates[:, :, None] + LINK_RTT_S  # (B, steps, n_bitrates)
+    qualities = _quality_table(video, weights)
+    prev_values = [0.0 if q is None else qualities[q] for q in prev_qualities]
+    has_prev = [q is not None for q in prev_qualities]
+    return plan_totals(
+        downloads, buffers, prev_values, has_prev, qualities, weights,
+        BUFFER_CAP_S, video.chunk_seconds,
+    )
 
 
 def optimal_qoe_exhaustive(
@@ -92,38 +203,17 @@ def optimal_qoe_exhaustive(
 ) -> tuple[float, list[int]]:
     """Exact max QoE over ``len(bandwidths_mbps)`` chunks; returns (qoe, plan).
 
-    Enumeration is vectorized over all ``n_bitrates ** window`` plans;
-    windows up to ~6 chunks are instantaneous.
+    A one-lane :func:`plan_totals` search; ties go to the plan that comes
+    first in ``itertools.product`` order.  Windows up to ~6 chunks are
+    instantaneous.
     """
-    bandwidths = np.asarray(bandwidths_mbps, dtype=float)
-    steps = len(bandwidths)
-    if steps == 0:
-        raise ValueError("empty bandwidth window")
-    if steps > 8:
-        raise ValueError("exhaustive search limited to 8 chunks; use optimal_plan_dp")
-    downloads = _download_times(video, start_chunk, bandwidths)
-    qualities = np.array([weights.quality(b) for b in video.bitrates_kbps])
-
-    combos = np.array(
-        list(itertools.product(range(video.n_bitrates), repeat=steps)), dtype=int
-    )
-    n = combos.shape[0]
-    buffer = np.full(n, float(start_buffer_s))
-    total = np.zeros(n)
-    prev = None if prev_quality is None else np.full(n, qualities[prev_quality])
-    for k in range(steps):
-        download = downloads[k, combos[:, k]]
-        rebuffer = np.maximum(download - buffer, 0.0)
-        buffer = np.minimum(
-            np.maximum(buffer - download, 0.0) + video.chunk_seconds, BUFFER_CAP_S
-        )
-        quality = qualities[combos[:, k]]
-        total += quality - weights.rebuffer_penalty * rebuffer
-        if prev is not None:
-            total -= weights.smooth_penalty * np.abs(quality - prev)
-        prev = quality
-    best = int(np.argmax(total))
-    return float(total[best]), combos[best].tolist()
+    totals = _window_totals(
+        video, [start_chunk], [bandwidths_mbps], [start_buffer_s], [prev_quality], weights
+    )[0]
+    best = int(np.argmax(totals))
+    steps = len(bandwidths_mbps)
+    plan = np.unravel_index(best, (video.n_bitrates,) * steps)
+    return float(totals[best]), [int(q) for q in plan]
 
 
 def optimal_qoe_exhaustive_batch(
@@ -136,80 +226,19 @@ def optimal_qoe_exhaustive_batch(
 ) -> np.ndarray:
     """Exact max QoE for a *batch* of equal-length windows; returns ``(B,)``.
 
-    Vectorized across ``B`` independent windows (one per parallel env) on
-    top of the plan enumeration of :func:`optimal_qoe_exhaustive`, sharing
-    one cached plan table.  Each row b solves the same problem as::
+    One :func:`plan_totals` search over all ``B`` windows (one per
+    parallel env).  Each row b solves the same problem as::
 
         optimal_qoe_exhaustive(video, start_chunks[b], bandwidth_windows[b],
                                start_buffers_s[b], prev_qualities[b], weights)[0]
 
-    and produces the identical value, chunk for chunk and bit for bit.
-    ``prev_qualities`` entries may be ``None`` (no previous chunk, i.e.
-    an episode's first window).
-
-    The enumeration runs over a *prefix-expanding* lattice: level k holds
-    one partial plan per ``n_bitrates ** k`` choice prefix (in
-    ``itertools.product`` order) and is expanded by ``repeat`` into level
-    k+1, so shared prefixes -- identical buffer states and partial sums
-    under the full ``(B, plans)`` sweep -- are computed once instead of
-    ``n_bitrates ** (steps - k)`` times.  Each final plan's value is
-    accumulated by the exact elementwise op chain of the scalar solver
-    (same expressions, same left-association, same product order for the
-    final max), so the restructuring is invisible at the bit level while
-    touching ~3x fewer array elements at the paper's 4-chunk window.
+    and produces the identical value, bit for bit: rows are independent
+    lanes of the same kernel.  ``prev_qualities`` entries may be ``None``
+    (no previous chunk, i.e. an episode's first window).
     """
-    bandwidths = np.asarray(bandwidth_windows, dtype=float)
-    if bandwidths.ndim != 2:
-        raise ValueError("bandwidth_windows must be (batch, window)")
-    n_batch, steps = bandwidths.shape
-    if steps == 0:
-        raise ValueError("empty bandwidth window")
-    if steps > 8:
-        raise ValueError("exhaustive search limited to 8 chunks; use optimal_plan_dp")
-    rates = bandwidths * 1e6 / 8.0 * PACKET_PAYLOAD_PORTION
-    if np.any(rates <= 0):
-        raise ValueError("bandwidths must be positive")
-    starts = np.asarray(start_chunks, dtype=int)
-    if np.any(starts < 0) or np.any(starts + steps > video.n_chunks):
-        raise ValueError("bandwidth schedule runs past the end of the video")
-    sizes = video.chunk_sizes_bytes[
-        starts[:, None] + np.arange(steps)
-    ]  # (B, steps, n_bitrates)
-    downloads = sizes / rates[:, :, None] + LINK_RTT_S
-    qualities = _quality_table(video, weights)
-    n_b = video.n_bitrates
-
-    start_buffers = np.asarray(start_buffers_s, dtype=float)
-    has_prev = np.array([q is not None for q in prev_qualities])
-    prev_vals = np.array(
-        [0.0 if q is None else qualities[q] for q in prev_qualities]
-    )
-    buffer = start_buffers[:, None]  # (B, width), width = prefixes so far
-    total = np.zeros((n_batch, 1))
-    width = 1
-    prev_quality: np.ndarray | None = None  # last choice's quality, (width,)
-    for k in range(steps):
-        # Expand every prefix with all n_b next choices; child j*n_b + c
-        # of prefix j keeps itertools.product order level by level.
-        buffer = np.repeat(buffer, n_b, axis=1)
-        total = np.repeat(total, n_b, axis=1)
-        choice = np.tile(np.arange(n_b), width)  # (width * n_b,)
-        download = downloads[:, k, :][:, choice]
-        rebuffer = np.maximum(download - buffer, 0.0)
-        buffer = np.minimum(
-            np.maximum(buffer - download, 0.0) + video.chunk_seconds, BUFFER_CAP_S
-        )
-        quality = qualities[choice]
-        total += quality[None, :] - weights.rebuffer_penalty * rebuffer
-        if k == 0:
-            smooth = np.abs(quality[None, :] - prev_vals[:, None])
-            total -= weights.smooth_penalty * smooth * has_prev[:, None]
-        else:
-            prev_col = np.repeat(prev_quality, n_b)
-            total -= weights.smooth_penalty * np.abs(quality - prev_col)[None, :]
-        prev_quality = quality
-        width *= n_b
-    return total.max(axis=1)
+    return _window_totals(
+        video, start_chunks, bandwidth_windows, start_buffers_s, prev_qualities, weights
+    ).max(axis=1)
 
 
 def optimal_qoe_exhaustive_mixed(
@@ -226,10 +255,9 @@ def optimal_qoe_exhaustive_mixed(
     lengths -- the state a lockstep batch of adversary envs is in right
     after a staggered reset, when some envs are still inside their first
     ``opt_window`` chunks.  Windows are grouped by length and each group
-    runs one vectorized plan enumeration; results come back in input
-    order.  A single-row group runs the same ``(1, plans)`` lattice, whose
-    elementwise op sequence is exactly the scalar solver's, so every entry
-    is bitwise equal to::
+    runs one :func:`plan_totals` search; results come back in input
+    order.  Lanes of the kernel are independent, so every entry is
+    bitwise equal to::
 
         optimal_qoe_exhaustive(video, start_chunks[b], bandwidth_windows[b],
                                start_buffers_s[b], prev_qualities[b], weights)[0]
@@ -269,7 +297,8 @@ def optimal_plan_dp(
         raise ValueError(
             f"need one bandwidth per chunk ({video.n_chunks}), got {len(bandwidths)}"
         )
-    downloads = _download_times(video, 0, bandwidths)
+    downloads = video.chunk_sizes_bytes / _link_rates(bandwidths)[:, None] + LINK_RTT_S
+    _start_buffers(start_buffer_s)
     qualities = np.array([weights.quality(b) for b in video.bitrates_kbps])
     nq = video.n_bitrates
     grid = np.arange(0.0, BUFFER_CAP_S + buffer_step_s, buffer_step_s)

@@ -18,8 +18,11 @@ one vectorized pass over all of them:
   ring written with a single vectorized scatter per step, so the serial
   path's per-env list-append + pad + concatenate becomes one reshape;
 - action scaling, smoothing penalties, the ``r_opt`` exhaustive search
-  (one :func:`~repro.abr.protocols.optimal.optimal_qoe_exhaustive_mixed`
-  call per (video, weights) group) and reward assembly are all batched.
+  (one :func:`~repro.abr.protocols.optimal.optimal_qoe_exhaustive_batch`
+  call -- a single :func:`~repro.abr.protocols.optimal.plan_totals`
+  kernel pass over all lanes -- or, for ragged windows, one
+  :func:`~repro.abr.protocols.optimal.optimal_qoe_exhaustive_mixed` call)
+  and reward assembly are all batched.
 
 Equivalence contract
 --------------------
@@ -35,7 +38,7 @@ Rollouts are bitwise identical to the ``"sync"`` backend at every width
   left-associated Equation 1 assembly), so identical inputs give
   identical bytes per element.
 - The r_opt batch solver is bitwise equal to the scalar solver row by
-  row (PR 1), and seeding runs the identical ``VecEnv._spawn_seeds``
+  row -- both are lanes of the same ``plan_totals`` kernel -- and seeding runs the identical ``VecEnv._spawn_seeds``
   (per-env seeds are drawn with the same side effects and -- exactly like
   the sync path -- discarded, because ``AbrAdversaryEnv.reset`` ignores
   them).

@@ -57,7 +57,7 @@ def _feed(h, obj: Any, seen: set[int]) -> None:
     """Feed a canonical byte encoding of ``obj`` into hash ``h``.
 
     Objects hash by class identity plus *public* attribute state (private
-    caches like MPC's combo tables or a layer's stashed activations must
+    caches like MPC's quality table or a layer's stashed activations must
     not affect the key), with two exceptions: ``np.random.Generator``
     attributes are always included -- a policy's exploration stream is
     part of its identity -- and a ``__cache_state__()`` method overrides

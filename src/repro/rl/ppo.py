@@ -651,9 +651,10 @@ class PPO:
 
         The checkpoint is fully read and validated against the current
         policy -- parameter count, every parameter shape, and the
-        normalization-statistics shape -- *before* anything is mutated,
-        so a mismatched file raises a clear :class:`ValueError` and
-        leaves the trainer exactly as it was.
+        normalization-statistics shape -- and for sane values (no NaN or
+        inf anywhere, no negative variance, a positive count) *before*
+        anything is mutated, so a mismatched or corrupt file raises a
+        clear :class:`ValueError` and leaves the trainer exactly as it was.
         """
         path = self.checkpoint_path(path)
         with np.load(path) as data:
@@ -692,6 +693,19 @@ class PPO:
             raise ValueError(
                 f"checkpoint {path} normalization stats have shape "
                 f"{rms_shape}, trainer expects {self.obs_rms.mean.shape}"
+            )
+        for i, w in enumerate(weights):
+            if not np.all(np.isfinite(w)):
+                raise ValueError(f"checkpoint {path} param_{i} holds NaN or inf")
+        for key in ("mean", "var"):
+            if not np.all(np.isfinite(rms_state[key])):
+                raise ValueError(f"checkpoint {path} rms_{key} holds NaN or inf")
+        if np.any(rms_state["var"] < 0):
+            raise ValueError(f"checkpoint {path} rms_var is negative")
+        if not (np.isfinite(rms_state["count"]) and rms_state["count"] > 0):
+            raise ValueError(
+                f"checkpoint {path} rms_count must be finite and positive, "
+                f"got {rms_state['count']}"
             )
         self.policy.set_weights(weights)
         self.obs_rms.load_state(rms_state)

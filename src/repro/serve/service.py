@@ -5,12 +5,12 @@ video.  Requests flow through the :class:`~repro.serve.coalescer.Coalescer`;
 each window is processed synchronously on the event loop: sessions are
 created/validated/advanced, the window is grouped by protocol, and every
 group is served with **one** batched adapter call -- a single flat-NN
-forward for Pensieve, one vectorized combo scan per lookahead group for
-MPC, one broadcast rule sweep for BB/BOLA.  This reuses the PR 6 batched
-adapters unchanged (they only read the session surface that
-:class:`~repro.serve.state.RemoteSession` mirrors), so the serial/batched
-identity contract -- served decision == inline policy call -- carries
-over to the network boundary.
+forward for Pensieve, one ``plan_totals`` plan search per lookahead group
+for MPC, one broadcast rule sweep for BB/BOLA.  This reuses the
+:mod:`repro.abr.batched` adapters unchanged (they only read the session
+surface that :class:`~repro.serve.state.RemoteSession` mirrors), so the
+serial/batched identity contract -- served decision == inline policy
+call -- carries over to the network boundary.
 
 Serving modes (``batch_size``):
 
@@ -82,27 +82,21 @@ class InlineAdapter(GenericBatched):
     would call it.  Per-playback-stateless policies (BB, BOLA,
     deterministic Pensieve -- the service serves one video, so their
     post-``reset`` state is shared too) use one shared clone instead of
-    a deep copy per session; MPC keeps per-session predictor state but
-    shares the ``6^h`` combo tables across lanes, mirroring
-    :class:`~repro.abr.batched.BatchedMPC`.
+    a deep copy per session; MPC gets a fresh per-session clone of the
+    prototype's settings for its predictor state, as
+    :class:`~repro.abr.batched.BatchedMPC` does.
     """
 
     def __init__(self, prototype: AbrPolicy) -> None:
         super().__init__(prototype)
         self._shared: AbrPolicy | None = None
-        self._mpc_combos: dict[tuple[int, int], dict[int, np.ndarray]] = {}
 
     def start(self, lane, session, rng) -> None:
         proto = self._prototype
         if isinstance(proto, MPC):
             clone = MPC(horizon=proto.horizon, window=proto.window,
                         robust=proto.robust, weights=proto.weights)
-            key = (session.video.n_bitrates, proto.horizon)
-            if key in self._mpc_combos:
-                clone._combos = self._mpc_combos[key]
-                clone._combos_key = key
             clone.reset(session.video)
-            self._mpc_combos[key] = clone._combos
         elif isinstance(proto, (BufferBased, Bola)) or (
             isinstance(proto, PensieveAgent) and proto.deterministic
         ):

@@ -36,8 +36,12 @@ class Trace:
             raise ValueError("timestamps must be a non-empty 1-D array")
         if len(self.timestamps) != len(self.bandwidths_mbps):
             raise ValueError("timestamps and bandwidths must have equal length")
+        if not np.all(np.isfinite(self.timestamps)):
+            raise ValueError("timestamps must be finite")
         if np.any(np.diff(self.timestamps) <= 0):
             raise ValueError("timestamps must be strictly increasing")
+        if not np.all(np.isfinite(self.bandwidths_mbps)):
+            raise ValueError("bandwidths must be finite")
         if np.any(self.bandwidths_mbps < 0):
             raise ValueError("bandwidths must be non-negative")
         for attr in ("latencies_ms", "loss_rates"):
@@ -47,8 +51,12 @@ class Trace:
                 if len(val) != len(self.timestamps):
                     raise ValueError(f"{attr} length must match timestamps")
                 setattr(self, attr, val)
-        if self.loss_rates is not None and (
-            np.any(self.loss_rates < 0) or np.any(self.loss_rates > 1)
+        if self.latencies_ms is not None and not np.all(
+            np.isfinite(self.latencies_ms) & (self.latencies_ms >= 0)
+        ):
+            raise ValueError("latencies must be finite and non-negative")
+        if self.loss_rates is not None and not np.all(
+            (self.loss_rates >= 0) & (self.loss_rates <= 1)
         ):
             raise ValueError("loss rates must be in [0, 1]")
         if self.duration is None:
@@ -58,6 +66,8 @@ class Trace:
             else:
                 step = 1.0
             self.duration = float(self.timestamps[-1] + step - self.timestamps[0])
+        if not np.isfinite(self.duration):
+            raise ValueError("duration must be finite")
         if self.duration <= self.timestamps[-1] - self.timestamps[0]:
             raise ValueError("duration must extend past the last timestamp")
 

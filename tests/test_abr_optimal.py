@@ -1,6 +1,7 @@
 """Tests for the offline-optimal solvers (repro.abr.protocols.optimal)."""
 
 import itertools
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -13,8 +14,11 @@ from repro.abr.protocols import (
     RateBased,
     optimal_plan_dp,
     optimal_qoe_exhaustive,
+    plan_totals,
     run_session,
 )
+from repro.abr.protocols import optimal
+from repro.abr.protocols.optimal import optimal_qoe_exhaustive_batch
 from repro.abr.qoe import QoEWeights, chunk_qoe
 from repro.abr.simulator import BUFFER_CAP_S, LINK_RTT_S, PACKET_PAYLOAD_PORTION
 from repro.abr.video import Video
@@ -64,6 +68,21 @@ class TestExhaustive:
         with pytest.raises(ValueError):
             optimal_qoe_exhaustive(video, 0, [1.0, 0.0], 0.0, None)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_bandwidth(self, video, bad):
+        with pytest.raises(ValueError, match="bandwidths"):
+            optimal_qoe_exhaustive(video, 0, [1.0, bad], 2.0, 1)
+        with pytest.raises(ValueError, match="bandwidths"):
+            optimal_qoe_exhaustive_batch(video, [0], [[1.0, bad]], [5.0], [None])
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -5.0])
+    def test_rejects_bad_start_buffer(self, video, bad):
+        with pytest.raises(ValueError, match="start buffers"):
+            optimal_qoe_exhaustive(video, 0, [1.0, 2.0], bad, 1)
+        with pytest.raises(ValueError, match="start buffers"):
+            optimal_qoe_exhaustive_batch(video, [0, 1], [[1.0, 2.0]] * 2, [1.0, bad],
+                                         [None, 2])
+
     def test_rejects_window_past_video_end(self, video):
         with pytest.raises(ValueError):
             optimal_qoe_exhaustive(video, video.n_chunks - 1, [1.0, 1.0], 0.0, None)
@@ -100,6 +119,18 @@ class TestDP:
         assert dp_total <= exact + 1e-9  # DP is a feasible (conservative) plan
         assert dp_total >= exact - 0.5  # ... and close to it
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, 0.0])
+    def test_bad_bandwidth_rejected(self, bad):
+        video = Video.synthetic(n_chunks=5, seed=0)
+        with pytest.raises(ValueError, match="bandwidths"):
+            optimal_plan_dp(video, [1.0, 2.0, bad, 1.0, 1.0])
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -1.0])
+    def test_bad_start_buffer_rejected(self, bad):
+        video = Video.synthetic(n_chunks=5, seed=0)
+        with pytest.raises(ValueError, match="start buffers"):
+            optimal_plan_dp(video, np.ones(5), start_buffer_s=bad)
+
     def test_wrong_bandwidth_count_rejected(self):
         video = Video.synthetic(n_chunks=5, seed=0)
         with pytest.raises(ValueError):
@@ -123,3 +154,73 @@ class TestDP:
         _total, plan = optimal_plan_dp(video, bandwidths)
         assert plan[0] <= 1
         assert max(plan[-4:]) >= 4
+
+
+def reference_totals(downloads, start_buffers, prev_values, has_prev, qualities,
+                     weights, buffer_cap, chunk_seconds):
+    """Plan-by-plan simulation in ``itertools.product`` order, one lane at a
+    time, with the smoothing term skipped (not zeroed) on a first chunk."""
+    n_lanes, steps, n_b = downloads.shape
+    rows = []
+    for lane in range(n_lanes):
+        row = []
+        for plan in itertools.product(range(n_b), repeat=steps):
+            buffer = float(start_buffers[lane])
+            total = 0.0
+            prev = float(prev_values[lane]) if has_prev[lane] else None
+            for k, c in enumerate(plan):
+                download = float(downloads[lane, k, c])
+                rebuffer = max(download - buffer, 0.0)
+                buffer = min(max(buffer - download, 0.0) + chunk_seconds, buffer_cap)
+                quality = float(qualities[c])
+                total += quality - weights.rebuffer_penalty * rebuffer
+                if prev is not None:
+                    total -= weights.smooth_penalty * abs(quality - prev)
+                prev = quality
+            row.append(total)
+        rows.append(row)
+    return np.array(rows).reshape(n_lanes, n_b**steps)
+
+
+@st.composite
+def kernel_cases(draw):
+    steps = draw(st.integers(1, 6))
+    # Keep the pure-Python reference small: at most 729 plans per lane.
+    n_b = draw(st.integers(2, max(n for n in range(2, 7) if n**steps <= 729)))
+    n_lanes = draw(st.integers(1, 10))
+    seed = draw(st.integers(0, 2**32 - 1))
+    rng = np.random.default_rng(seed)
+    downloads = rng.uniform(0.1, 12.0, (n_lanes, steps, n_b))
+    start_buffers = rng.uniform(0.0, 40.0, n_lanes)
+    qualities = np.sort(rng.uniform(0.0, 5.0, n_b))
+    prev = [draw(st.one_of(st.none(), st.integers(0, n_b - 1))) for _ in range(n_lanes)]
+    prev_values = np.array([0.0 if p is None else qualities[p] for p in prev])
+    has_prev = np.array([p is not None for p in prev])
+    weights = QoEWeights(rebuffer_penalty=draw(st.floats(0.0, 10.0)),
+                         smooth_penalty=draw(st.floats(0.0, 3.0)))
+    buffer_cap = draw(st.sampled_from([BUFFER_CAP_S, 12.0, np.inf]))
+    chunk_seconds = draw(st.sampled_from([1.0, 4.0]))
+    # Small budgets force several lane tiles, down to one lane per tile.
+    tile_plans = draw(st.sampled_from([1, 1000, optimal._TILE_PLANS]))
+    case = (downloads, start_buffers, prev_values, has_prev, qualities, weights,
+            buffer_cap, chunk_seconds)
+    return tile_plans, case
+
+
+class TestPlanTotals:
+    @given(kernel_cases())
+    @settings(max_examples=60, deadline=None)
+    def test_matches_product_order_reference_bitwise(self, drawn):
+        tile_plans, case = drawn
+        with mock.patch.object(optimal, "_TILE_PLANS", tile_plans):
+            totals = plan_totals(*case)
+        expected = reference_totals(*case)
+        assert totals.shape == expected.shape
+        assert totals.tobytes() == expected.tobytes()
+        # MPC's decision: the first step of the first-max plan.
+        n_b, steps = case[0].shape[2], case[0].shape[1]
+        plans = list(itertools.product(range(n_b), repeat=steps))
+        for lane in range(len(totals)):
+            row = expected[lane].tolist()
+            first = plans[row.index(max(row))][0]
+            assert int(np.argmax(totals[lane])) // n_b ** (steps - 1) == first

@@ -158,41 +158,57 @@ class TestProtocolOrdering:
             assert len(result.qualities) == video.n_chunks
 
 
-class TestMpcComboCache:
-    """Regression: the 6^h plan tables must be keyed on (n_bitrates, horizon).
+def _mpc_decisions(mpc, video):
+    """MPC's decisions over a fixed sweep of mid-session observations."""
+    sweep = [(5, 15.0, 5.0, 2), (6, 2.0, 0.5, 1), (7, 30.0, 20.0, None),
+             (video.n_chunks - 2, 8.0, 3.0, 0)]
+    decisions = []
+    for chunk_index, buffer_s, mbps, last_quality in sweep:
+        history = [(mbps * 1e6 / 8.0, 1.0)] * 5
+        obs = make_obs(video, buffer_s, history=history, last_quality=last_quality,
+                       chunk_index=chunk_index)
+        decisions.append(mpc.select(obs))
+    return decisions
 
-    The old check compared ``n_bitrates`` against ``combos.shape[1]`` (the
-    horizon length), so the tables were needlessly rebuilt on most resets
-    and -- worse -- stale tables survived a switch to a video with a
-    different bitrate count, indexing out of that video's bitrate range.
+
+def _fresh_mpc_decisions(video, **kwargs):
+    mpc = MPC(**kwargs)
+    mpc.reset(video)
+    return _mpc_decisions(mpc, video)
+
+
+class TestMpcLadderReset:
+    """Regression: a reset must fully re-target MPC to the new video.
+
+    MPC once cached its plan tables keyed on the wrong quantity, so stale
+    6-rung plans survived a switch to a narrower ladder and indexed past
+    its bitrates.  Whatever MPC keeps across resets, a reused instance
+    must decide exactly like a fresh one.
     """
 
-    def test_cache_reused_across_resets_with_same_video(self, video):
+    def test_repeat_reset_matches_fresh_mpc(self, video):
         mpc = MPC()
         mpc.reset(video)
-        tables = mpc._combos
+        _mpc_decisions(mpc, video)
         mpc.reset(video)
-        assert mpc._combos is tables, "plan tables rebuilt on a plain reset"
+        assert _mpc_decisions(mpc, video) == _fresh_mpc_decisions(video)
 
-    def test_cache_rebuilt_when_bitrate_count_changes(self, video):
+    def test_narrow_ladder_matches_fresh_mpc(self, video):
+        narrow = Video.synthetic(n_chunks=20, seed=1, bitrates_kbps=(300, 750, 1200))
         mpc = MPC(horizon=3)
         mpc.reset(video)
-        assert mpc._combos[3].shape == (video.n_bitrates ** 3, 3)
-
-        narrow = Video.synthetic(
-            n_chunks=20, seed=1, bitrates_kbps=(300, 750, 1200)
-        )
+        _mpc_decisions(mpc, video)
         mpc.reset(narrow)
-        assert mpc._combos[3].shape == (3 ** 3, 3)
-        assert int(mpc._combos[3].max()) == narrow.n_bitrates - 1
+        decisions = _mpc_decisions(mpc, narrow)
+        assert all(0 <= q < narrow.n_bitrates for q in decisions)
+        assert narrow.n_bitrates - 1 in decisions  # the top rung is reachable
+        assert decisions == _fresh_mpc_decisions(narrow, horizon=3)
 
-        # Decisions on the narrow video must stay within its bitrate range
-        # even mid-session (stale 6-bitrate tables would index past it).
-        history = [(5.0e6 / 8.0, 1.0)] * 5
-        obs = make_obs(narrow, 15.0, history=history, last_quality=2,
-                       chunk_index=5)
-        assert 0 <= mpc.select(obs) < narrow.n_bitrates
-
-        # And switching back rebuilds the wide tables again.
-        mpc.reset(video)
-        assert mpc._combos[3].shape == (video.n_bitrates ** 3, 3)
+    def test_switch_back_to_wide_ladder_matches_fresh_mpc(self, video):
+        narrow = Video.synthetic(n_chunks=20, seed=1, bitrates_kbps=(300, 750, 1200))
+        mpc = MPC(horizon=3)
+        for v in (video, narrow, video):
+            mpc.reset(v)
+            decisions = _mpc_decisions(mpc, v)
+        assert decisions == _fresh_mpc_decisions(video, horizon=3)
+        assert max(decisions) >= narrow.n_bitrates  # past the narrow ladder

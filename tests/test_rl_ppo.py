@@ -170,13 +170,15 @@ class TestPPOPersistence:
 
     def _snapshot(self, ppo):
         return ([w.copy() for w in ppo.policy.get_weights()],
-                ppo.obs_rms.mean.copy())
+                ppo.obs_rms.mean.copy(), ppo.obs_rms.var.copy(), ppo.obs_rms.count)
 
     def _assert_unchanged(self, ppo, snapshot):
-        weights, rms_mean = snapshot
+        weights, rms_mean, rms_var, rms_count = snapshot
         for w, v in zip(weights, ppo.policy.get_weights()):
             assert np.array_equal(w, v)
         assert np.array_equal(rms_mean, ppo.obs_rms.mean)
+        assert np.array_equal(rms_var, ppo.obs_rms.var)
+        assert rms_count == ppo.obs_rms.count
 
     def test_shape_mismatch_raises_before_mutation(self, tmp_path):
         donor = PPO(MatchParityEnv(), PPOConfig(n_steps=128, hidden=(8, 4)), seed=0)
@@ -206,4 +208,35 @@ class TestPPOPersistence:
         before = self._snapshot(ppo)
         with pytest.raises(ValueError, match="rms_"):
             ppo.load(tmp_path / "broken.npz")
+        self._assert_unchanged(ppo, before)
+
+    @pytest.mark.parametrize(
+        "key, poison",
+        [
+            ("param_0", np.nan),
+            ("param_1", np.inf),
+            ("rms_mean", np.nan),
+            ("rms_var", -np.inf),
+            ("rms_var", -1.0),
+            ("rms_count", np.nan),
+            ("rms_count", np.inf),
+            ("rms_count", 0.0),
+            ("rms_count", -3.0),
+        ],
+    )
+    def test_non_finite_checkpoint_raises_before_mutation(self, tmp_path, key, poison):
+        donor = PPO(MatchParityEnv(), PPOConfig(n_steps=128), seed=0)
+        donor.learn(128)
+        donor.save(tmp_path / "model.npz")
+        with np.load(tmp_path / "model.npz") as data:
+            arrays = {k: data[k].copy() for k in data.files}
+        if arrays[key].ndim == 0:
+            arrays[key] = np.array(poison)
+        else:
+            arrays[key].flat[0] = poison
+        np.savez(tmp_path / "poisoned.npz", **arrays)
+        ppo = PPO(MatchParityEnv(), PPOConfig(n_steps=128), seed=1)
+        before = self._snapshot(ppo)
+        with pytest.raises(ValueError, match=key):
+            ppo.load(tmp_path / "poisoned.npz")
         self._assert_unchanged(ppo, before)

@@ -47,6 +47,30 @@ class TestConstruction:
         with pytest.raises(ValueError):
             Trace.from_steps([1.0, 2.0], 1.0, latencies_ms=[10.0])
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_bandwidth_rejected(self, bad):
+        with pytest.raises(ValueError, match="bandwidths must be finite"):
+            Trace([0, 1], [1.0, bad], duration=2)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_timestamp_rejected(self, bad):
+        with pytest.raises(ValueError, match="timestamps must be finite"):
+            Trace([0.0, bad], [1.0, 2.0], duration=2)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_duration_rejected(self, bad):
+        with pytest.raises(ValueError, match="duration must be finite"):
+            Trace([0, 1], [1.0, 2.0], duration=bad)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -5.0])
+    def test_bad_latency_rejected(self, bad):
+        with pytest.raises(ValueError, match="latencies"):
+            Trace.from_steps([1.0, 2.0], 1.0, latencies_ms=[10.0, bad])
+
+    def test_nan_loss_rate_rejected(self):
+        with pytest.raises(ValueError, match="loss rates"):
+            Trace.from_steps([1.0, 2.0], 1.0, loss_rates=[0.0, np.nan])
+
     def test_duration_must_extend_past_last_timestamp(self):
         with pytest.raises(ValueError):
             Trace(
