@@ -187,9 +187,9 @@ def main() -> int:
         f"(floor {floor:.0f}x)",
     ]
     if "mpc   coalesced  inproc" in rps and "mpc   batch=1    inproc" in rps:
-        # Tracks the lane-tiled plan search (optimal._TILE_PLANS in
-        # plan_totals): before tiling, the uncached coalesced MPC row lost
-        # to batch=1.
+        # Tracks the batched plan search (optimal.best_plans: lane-tiled
+        # by _TILE_PLANS, bound-pruned from _PRUNE_MIN_PLANS lane-plans):
+        # before tiling, the uncached coalesced MPC row lost to batch=1.
         mpc_speedup = (statistics.median(rps["mpc   coalesced  inproc"])
                        / statistics.median(rps["mpc   batch=1    inproc"]))
         lines.append(

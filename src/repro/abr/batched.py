@@ -5,7 +5,7 @@ one video at a time: observe, select, download, repeat.  This module runs
 ``K`` independent :class:`~repro.abr.simulator.StreamingSession`s
 side-by-side and serves all their bitrate decisions with **one** batched
 policy evaluation per chunk round -- a single flat-NN forward for
-Pensieve, one :func:`~repro.abr.protocols.optimal.plan_totals` plan
+Pensieve, one :func:`~repro.abr.protocols.optimal.best_plans` plan
 search per (video, lookahead-steps) group for MPC,
 and one broadcast rule evaluation for BB/BOLA.  Sessions retire
 independently as they finish and free lanes are refilled from the work
@@ -297,9 +297,11 @@ class BatchedMPC(BatchedAbrPolicy):
     and runs the *serial* ``_predict_throughput``.  The expensive part --
     the exhaustive ``6^h`` plan search -- is batched: lanes sharing a
     (video, lookahead-steps) pair are scored by one
-    :func:`~repro.abr.protocols.optimal.plan_totals` call, the kernel the
-    serial :meth:`MPC.select` runs one lane of, so per-lane decisions are
-    bitwise identical to the serial ones.
+    :func:`~repro.abr.protocols.optimal.best_plans` call, the kernel the
+    serial :meth:`MPC.select` runs one lane of.  A wide group may take
+    the kernel's pruned path where one serial lane scans every plan, but
+    both return the first best plan of the same per-plan totals, so
+    per-lane decisions are bitwise identical to the serial ones.
     """
 
     def __init__(self, policy: MPC) -> None:

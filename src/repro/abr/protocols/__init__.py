@@ -4,7 +4,12 @@ from repro.abr.protocols.base import AbrPolicy, run_session
 from repro.abr.protocols.bola import Bola
 from repro.abr.protocols.buffer_based import BufferBased
 from repro.abr.protocols.mpc import MPC
-from repro.abr.protocols.optimal import optimal_plan_dp, optimal_qoe_exhaustive, plan_totals
+from repro.abr.protocols.optimal import (
+    best_plans,
+    optimal_plan_dp,
+    optimal_qoe_exhaustive,
+    plan_totals,
+)
 from repro.abr.protocols.pensieve import PensieveAgent, continue_training, train_pensieve
 from repro.abr.protocols.rate_based import RateBased
 
@@ -15,6 +20,7 @@ __all__ = [
     "MPC",
     "PensieveAgent",
     "RateBased",
+    "best_plans",
     "continue_training",
     "optimal_plan_dp",
     "optimal_qoe_exhaustive",

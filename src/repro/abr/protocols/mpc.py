@@ -10,8 +10,8 @@ At each chunk the controller:
    lookahead against the predicted throughput, simulating the buffer, and
 3. executes the first step of the best plan.
 
-The plan search is one lane of the shared exhaustive kernel,
-:func:`~repro.abr.protocols.optimal.plan_totals`, with the buffer left
+The plan search is one lane of the shared exact kernel,
+:func:`~repro.abr.protocols.optimal.best_plans`, with the buffer left
 uncapped, so a full 48-chunk playback costs a few milliseconds.
 """
 
@@ -22,7 +22,7 @@ from collections import deque
 import numpy as np
 
 from repro.abr.protocols.base import AbrPolicy
-from repro.abr.protocols.optimal import plan_totals
+from repro.abr.protocols.optimal import best_plans
 from repro.abr.protocols.rate_based import harmonic_mean_mbps
 from repro.abr.qoe import QoEWeights
 from repro.abr.simulator import LINK_RTT_S, PACKET_PAYLOAD_PORTION, AbrObservation
@@ -99,16 +99,17 @@ class MPC(AbrPolicy):
     def _best_first_steps(self, steps: int, observations, rates) -> np.ndarray:
         """First step of the best ``steps``-chunk plan per observation.
 
-        One :func:`plan_totals` lane per observation, each downloading at
+        One :func:`best_plans` lane per observation, each downloading at
         its predicted ``rates`` entry (bytes/s) with the buffer uncapped;
         :class:`~repro.abr.batched.BatchedMPC` runs many lanes at once,
-        :meth:`select` one.
+        :meth:`select` one.  A lane's first best plan is the same whether
+        the kernel scans or prunes, so batched decisions equal serial ones.
         """
         video = self._video
         qualities = self._qualities
         chunks = np.array([obs.chunk_index for obs in observations])
         sizes = video.chunk_sizes_bytes[chunks[:, None] + np.arange(steps)]
-        totals = plan_totals(
+        _, index = best_plans(
             sizes / np.asarray(rates)[:, None, None] + LINK_RTT_S,
             [obs.buffer_seconds for obs in observations],
             [0.0 if obs.last_quality is None else qualities[obs.last_quality]
@@ -119,4 +120,4 @@ class MPC(AbrPolicy):
             np.inf,
             video.chunk_seconds,
         )
-        return np.argmax(totals, axis=1) // video.n_bitrates ** (steps - 1)
+        return index // video.n_bitrates ** (steps - 1)

@@ -2,12 +2,15 @@
 
 One plan-search kernel and one dynamic program:
 
-- :func:`plan_totals` -- the exact QoE of *every* bitrate plan over a
-  short window, for a batch of lanes.  It is the package's only plan
-  enumeration.  The adversary's ``r_opt`` -- "the highest possible QoE
-  over the last 4 network changes" (section 3) -- is its row max
+- :func:`best_plans` -- each lane's best total QoE over every bitrate
+  plan of a short window, and the first plan (in ``itertools.product``
+  order) that reaches it, for a batch of lanes.  It is the package's
+  only plan search.  The adversary's ``r_opt`` -- "the highest possible
+  QoE over the last 4 network changes" (section 3) -- is its best total
   (:func:`optimal_qoe_exhaustive` and its batch and mixed-length forms),
-  and MPC executes the first step of its row argmax.
+  and MPC executes the first step of its best plan.  Small searches
+  scan every plan (:func:`plan_totals`, its dense path); large ones
+  prune plans that provably cannot win.
 - :func:`optimal_plan_dp` -- full-video optimum by dynamic programming
   over a discretized buffer, used for the "Offline Optimum" overlay in
   Figure 3.
@@ -27,6 +30,7 @@ from repro.abr.simulator import BUFFER_CAP_S, LINK_RTT_S, PACKET_PAYLOAD_PORTION
 from repro.abr.video import Video
 
 __all__ = [
+    "best_plans",
     "optimal_plan_dp",
     "optimal_qoe_exhaustive",
     "optimal_qoe_exhaustive_batch",
@@ -35,13 +39,25 @@ __all__ = [
 ]
 
 #: Plan totals per lattice pass: lanes are scanned in tiles of
-#: ``_TILE_PLANS // n_plans`` (at least one).  That is 8 lanes at MPC's
-#: 5-chunk horizon (7776 plans each), where one ``(L, plans)`` pass would
+#: ``_TILE_PLANS // width`` (at least one), ``width`` being the last
+#: level's prefixes per lane.  That is 8 lanes for every plan of MPC's
+#: 5-chunk horizon (7776 each), where one ``(L, plans)`` pass would
 #: stream megabytes per op, and 48 lanes for a 4-chunk ``r_opt`` window,
 #: where smaller tiles only add per-op call overhead.  Every temporary
 #: stays cache-resident across the op chain; rows are independent, so
 #: tiling changes nothing at the bit level.
 _TILE_PLANS = 8 * 6**5
+
+#: Lane-plans (lanes x ``n_b ** steps``) from which :func:`best_plans`
+#: prunes instead of scanning every plan; see the constant's measurement
+#: in docs/architecture.md.  Below it the frontier's indexing costs more
+#: than the plans it skips (one serial MPC decision is 7,776).
+_PRUNE_MIN_PLANS = 2**14
+
+#: Prefixes per lane that the pruned search's leading lattice grows to
+#: (at least one level, at most ``steps - 1``) before the frontier takes
+#: over: three levels of a 6-rung ladder.
+_LEAD_WIDTH = 6**3
 
 #: Per-(ladder, weights) quality-score vectors.  ``weights.quality`` is a
 #: pure function of its inputs, so the table is reusable across the
@@ -92,27 +108,41 @@ def plan_totals(
     partial sum are computed once.  Every plan still takes the
     elementwise op chain ``total + (q - rebuffer_penalty * rebuffer)``
     then ``- smooth_penalty * |q - q_prev|``, so its total is bitwise the
-    one a plan-by-plan simulation gives.
+    one a plan-by-plan simulation gives.  This is :func:`best_plans`'s
+    dense path.
     """
-    n_lanes, steps, n_b = downloads.shape
+    return _lattice(
+        downloads, start_buffers, prev_values, has_prev, qualities, weights,
+        buffer_cap, chunk_seconds, downloads.shape[1], False,
+    )[0]
+
+
+def _lattice(downloads, start_buffers, prev_values, has_prev, qualities, weights,
+             buffer_cap, chunk_seconds, levels, keep_buffers):
+    """The first ``levels`` lattice levels of :func:`plan_totals`.
+
+    Returns the last level's ``(L, n_b ** levels)`` partial totals and,
+    with ``keep_buffers``, the buffers after it (else ``None``).
+    """
+    n_lanes, _, n_b = downloads.shape
     start_buffers = np.asarray(start_buffers, dtype=float)
     prev_values = np.asarray(prev_values, dtype=float)
     has_prev = np.asarray(has_prev, dtype=bool)
-    # penalty[p, c]: the switch cost from quality p to quality c.
-    penalty = weights.smooth_penalty * np.abs(qualities[None, :] - qualities[:, None])
-    totals = np.empty((n_lanes, n_b**steps))
-    tile = max(1, _TILE_PLANS // n_b**steps)
+    penalty = _switch_penalties(qualities, weights)
+    totals = np.empty((n_lanes, n_b**levels))
+    buffers = np.empty((n_lanes, n_b**levels)) if keep_buffers else None
+    tile = max(1, _TILE_PLANS // n_b**levels)
     # Ping-pong storage for the inner levels' totals and buffers; the
-    # last level writes straight into ``totals`` and skips the buffer.
-    scratch = np.empty((4, min(tile, n_lanes) * n_b ** (steps - 1)))
+    # last level writes straight into ``totals`` (and ``buffers``).
+    scratch = np.empty((4, min(tile, n_lanes) * n_b ** (levels - 1)))
     for t0 in range(0, n_lanes, tile):
         t1 = min(t0 + tile, n_lanes)
         m = t1 - t0
         buffer = start_buffers[t0:t1, None]
         total = np.zeros((m, 1))
         width = 1
-        for k in range(steps):
-            last = k == steps - 1
+        for k in range(levels):
+            last = k == levels - 1
             size = m * width * n_b
             download = downloads[t0:t1, None, k, :]
             parent = buffer[:, :, None]
@@ -133,8 +163,10 @@ def plan_totals(
             else:
                 grouped = out.reshape(m, width // n_b, n_b, n_b)
                 grouped -= penalty
-            if not last:
-                nxt = scratch[2 + k % 2, :size].reshape(m, width, n_b)
+            if not last or keep_buffers:
+                nxt = (buffers[t0:t1] if last else scratch[2 + k % 2, :size]).reshape(
+                    m, width, n_b
+                )
                 np.subtract(parent, download, out=nxt)
                 np.maximum(nxt, 0.0, out=nxt)
                 nxt += chunk_seconds
@@ -142,7 +174,142 @@ def plan_totals(
                 buffer = nxt.reshape(m, -1)
             total = out.reshape(m, -1)
             width *= n_b
-    return totals
+    return totals, buffers
+
+
+def _switch_penalties(qualities: np.ndarray, weights: QoEWeights) -> np.ndarray:
+    """``penalty[p, c]``: the switch cost from quality ``p`` to quality ``c``."""
+    return weights.smooth_penalty * np.abs(qualities[None, :] - qualities[:, None])
+
+
+def _grow(total, buffer, download, switch, qualities, weights):
+    """One lattice level for a flat list of prefixes: ``(P, n_b)`` children.
+
+    ``total``/``buffer`` are the ``(P,)`` prefixes' partial totals and
+    buffers, ``download`` their ``(P, n_b)`` next-chunk download times and
+    ``switch`` their ``(P, n_b)`` switch penalties from the last choice.
+    The op chain is :func:`_lattice`'s, so every child is bitwise the
+    lattice's.
+    """
+    child = np.subtract(download, buffer[:, None])
+    np.maximum(child, 0.0, out=child)
+    np.multiply(child, weights.rebuffer_penalty, out=child)
+    np.subtract(qualities, child, out=child)
+    np.add(child, total[:, None], out=child)
+    child -= switch
+    return child
+
+
+def _drain(buffer, download, buffer_cap, chunk_seconds):
+    """The buffer after a download, :func:`_lattice`'s op chain on a flat
+    list of the children worth keeping."""
+    nxt = np.subtract(buffer, download)
+    np.maximum(nxt, 0.0, out=nxt)
+    nxt += chunk_seconds
+    np.minimum(nxt, buffer_cap, out=nxt)
+    return nxt
+
+
+def _ceiling(totals: np.ndarray, levels: int, q_max: float) -> np.ndarray:
+    """``totals + q_max + ...`` (one ``+`` per level still to go): a bound
+    on the float total of every completion (see :func:`best_plans`)."""
+    bound = totals + q_max
+    for _ in range(levels - 1):
+        bound += q_max
+    return bound
+
+
+def best_plans(
+    downloads: np.ndarray,
+    start_buffers,
+    prev_values,
+    has_prev,
+    qualities: np.ndarray,
+    weights: QoEWeights,
+    buffer_cap: float,
+    chunk_seconds: float,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Best total QoE per lane and the first plan reaching it.
+
+    Same inputs as :func:`plan_totals` (finite, with ``weights``'
+    penalties non-negative, as :class:`~repro.abr.qoe.QoEWeights`
+    enforces); returns ``(best, index)``, both ``(L,)``, bitwise equal to
+    ``totals.max(axis=1)`` and ``totals.argmax(axis=1)`` of its full
+    scan: ``index[l]`` is the first best plan in ``itertools.product``
+    order, so ``index // n_b ** (steps - 1)`` is MPC's first step.
+
+    Below :data:`_PRUNE_MIN_PLANS` lane-plans it *is* that scan.  Above,
+    it prunes:
+
+    1. The dense lattice runs for the leading levels, up to
+       :data:`_LEAD_WIDTH` prefixes per lane.
+    2. A lower bound ``low`` per lane is the exact total of one complete
+       plan: a greedy dive from the lane's best leading prefix, taking
+       the best child at every later level, through the lattice's own op
+       chain.  The best total is therefore at least ``low``.
+    3. The trailing levels run as a compact frontier of surviving
+       prefixes (buffers are drained only for the survivors).  A prefix
+       ``r`` levels short of the end is dropped when ``total + q_max +
+       ... + q_max`` (``r`` float additions) is below ``low``.  Every level adds ``q - rebuffer_penalty * rebuffer <=
+       q_max`` and then subtracts a switch penalty ``>= 0``, and IEEE
+       rounding is monotone, so that sum bounds the float total of every
+       completion: a dropped plan can neither be the best nor tie it.
+       The greedy plan's own prefixes always survive, so no lane empties.
+
+    The max and the first argmax over the survivors are then those over
+    all plans.
+    """
+    n_lanes, steps, n_b = downloads.shape
+    if steps == 1 or n_lanes * n_b**steps < _PRUNE_MIN_PLANS:
+        totals = plan_totals(
+            downloads, start_buffers, prev_values, has_prev, qualities, weights,
+            buffer_cap, chunk_seconds,
+        )
+        index = np.argmax(totals, axis=1)
+        return totals[np.arange(n_lanes), index], index
+    lead = 1
+    while lead < steps - 1 and n_b ** (lead + 1) <= _LEAD_WIDTH:
+        lead += 1
+    totals, buffers = _lattice(
+        downloads, start_buffers, prev_values, has_prev, qualities, weights,
+        buffer_cap, chunk_seconds, lead, True,
+    )
+    penalty = _switch_penalties(qualities, weights)
+    lanes = np.arange(n_lanes)
+    # Lower bound: the greedy dive.
+    pick = np.argmax(totals, axis=1)
+    low, buffer = totals[lanes, pick], buffers[lanes, pick]
+    for k in range(lead, steps):
+        download = downloads[:, k]
+        child = _grow(low, buffer, download, penalty[pick % n_b], qualities, weights)
+        pick = np.argmax(child, axis=1)
+        low = child[lanes, pick]
+        if k < steps - 1:
+            buffer = _drain(buffer, download[lanes, pick], buffer_cap, chunk_seconds)
+    # The frontier: (lane, prefix index) pairs in lane-major, then prefix
+    # order -- i.e. ascending plan index within each lane -- kept as flat
+    # positions into the row-major level arrays.
+    q_max = qualities.max()
+    keep = np.flatnonzero(_ceiling(totals, steps - lead, q_max) >= low[:, None])
+    lane, prefix = np.divmod(keep, n_b**lead)
+    total, buffer = totals.ravel()[keep], buffers.ravel()[keep]
+    for k in range(lead, steps):
+        download = downloads[lane, k]
+        child = _grow(total, buffer, download, penalty[prefix % n_b], qualities, weights)
+        if k == steps - 1:
+            break
+        keep = np.flatnonzero(_ceiling(child, steps - 1 - k, q_max) >= low[lane, None])
+        row, choice = np.divmod(keep, n_b)
+        total = child.ravel()[keep]
+        buffer = _drain(buffer[row], download.ravel()[keep], buffer_cap, chunk_seconds)
+        lane, prefix = lane[row], prefix[row] * n_b + choice
+    # Per-lane max over the surviving plans (max is exact in any order),
+    # then the first plan that reaches it.
+    best = np.maximum.reduceat(child.ravel(), np.searchsorted(lane, lanes) * n_b)
+    hits = np.flatnonzero(child == best[lane, None])
+    hit_lanes = lane[hits // n_b]
+    first = hits[np.r_[True, hit_lanes[1:] != hit_lanes[:-1]]]
+    return best, prefix[first // n_b] * n_b + first % n_b
 
 
 def _link_rates(bandwidths_mbps) -> np.ndarray:
@@ -160,15 +327,15 @@ def _start_buffers(start_buffers_s) -> np.ndarray:
     return buffers
 
 
-def _window_totals(
+def _window_best(
     video: Video,
     start_chunks,
     bandwidth_windows,
     start_buffers_s,
     prev_qualities,
     weights: QoEWeights,
-) -> np.ndarray:
-    """Validated :func:`plan_totals` of a batch of equal-length windows."""
+) -> tuple[np.ndarray, np.ndarray]:
+    """Validated :func:`best_plans` of a batch of equal-length windows."""
     bandwidths = np.asarray(bandwidth_windows, dtype=float)
     if bandwidths.ndim != 2:
         raise ValueError("bandwidth_windows must be (batch, window)")
@@ -187,7 +354,7 @@ def _window_totals(
     qualities = _quality_table(video, weights)
     prev_values = [0.0 if q is None else qualities[q] for q in prev_qualities]
     has_prev = [q is not None for q in prev_qualities]
-    return plan_totals(
+    return best_plans(
         downloads, buffers, prev_values, has_prev, qualities, weights,
         BUFFER_CAP_S, video.chunk_seconds,
     )
@@ -203,17 +370,16 @@ def optimal_qoe_exhaustive(
 ) -> tuple[float, list[int]]:
     """Exact max QoE over ``len(bandwidths_mbps)`` chunks; returns (qoe, plan).
 
-    A one-lane :func:`plan_totals` search; ties go to the plan that comes
+    A one-lane :func:`best_plans` search; ties go to the plan that comes
     first in ``itertools.product`` order.  Windows up to ~6 chunks are
     instantaneous.
     """
-    totals = _window_totals(
+    best, index = _window_best(
         video, [start_chunk], [bandwidths_mbps], [start_buffer_s], [prev_quality], weights
-    )[0]
-    best = int(np.argmax(totals))
+    )
     steps = len(bandwidths_mbps)
-    plan = np.unravel_index(best, (video.n_bitrates,) * steps)
-    return float(totals[best]), [int(q) for q in plan]
+    plan = np.unravel_index(int(index[0]), (video.n_bitrates,) * steps)
+    return float(best[0]), [int(q) for q in plan]
 
 
 def optimal_qoe_exhaustive_batch(
@@ -226,19 +392,20 @@ def optimal_qoe_exhaustive_batch(
 ) -> np.ndarray:
     """Exact max QoE for a *batch* of equal-length windows; returns ``(B,)``.
 
-    One :func:`plan_totals` search over all ``B`` windows (one per
+    One :func:`best_plans` search over all ``B`` windows (one per
     parallel env).  Each row b solves the same problem as::
 
         optimal_qoe_exhaustive(video, start_chunks[b], bandwidth_windows[b],
                                start_buffers_s[b], prev_qualities[b], weights)[0]
 
     and produces the identical value, bit for bit: rows are independent
-    lanes of the same kernel.  ``prev_qualities`` entries may be ``None``
+    lanes, and pruned or not, the kernel's best is the exact float max of
+    the same per-plan totals.  ``prev_qualities`` entries may be ``None``
     (no previous chunk, i.e. an episode's first window).
     """
-    return _window_totals(
+    return _window_best(
         video, start_chunks, bandwidth_windows, start_buffers_s, prev_qualities, weights
-    ).max(axis=1)
+    )[0]
 
 
 def optimal_qoe_exhaustive_mixed(
@@ -255,9 +422,8 @@ def optimal_qoe_exhaustive_mixed(
     lengths -- the state a lockstep batch of adversary envs is in right
     after a staggered reset, when some envs are still inside their first
     ``opt_window`` chunks.  Windows are grouped by length and each group
-    runs one :func:`plan_totals` search; results come back in input
-    order.  Lanes of the kernel are independent, so every entry is
-    bitwise equal to::
+    runs one :func:`best_plans` search; results come back in input
+    order.  Every entry is bitwise equal to::
 
         optimal_qoe_exhaustive(video, start_chunks[b], bandwidth_windows[b],
                                start_buffers_s[b], prev_qualities[b], weights)[0]

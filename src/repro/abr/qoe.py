@@ -11,6 +11,7 @@ provided as extensions.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -20,18 +21,32 @@ from repro.abr.video import BITRATES_KBPS
 
 __all__ = ["QoEWeights", "chunk_qoe", "video_qoe"]
 
+_METRICS = ("linear", "log", "hd")
+
 
 @dataclass(frozen=True)
 class QoEWeights:
     """Weights of the QoE objective.
 
     ``rebuffer_penalty`` defaults to 4.3 (the maximum bitrate in Mbps, as
-    in MPC's QoE_lin); ``smooth_penalty`` weighs bitrate switches.
+    in MPC's QoE_lin); ``smooth_penalty`` weighs bitrate switches.  Both
+    must be finite and non-negative -- a penalty, never a reward, which
+    the plan search's pruning bound relies on -- and ``metric`` one of
+    ``linear``, ``log`` or ``hd``; construction raises
+    :class:`ValueError` otherwise.
     """
 
     rebuffer_penalty: float = 4.3
     smooth_penalty: float = 1.0
     metric: str = "linear"
+
+    def __post_init__(self) -> None:
+        for name in ("rebuffer_penalty", "smooth_penalty"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value >= 0):
+                raise ValueError(f"{name} must be finite and non-negative, got {value!r}")
+        if self.metric not in _METRICS:
+            raise ValueError(f"unknown QoE metric {self.metric!r}; expected one of {_METRICS}")
 
     def quality(self, bitrate_kbps: float) -> float:
         """Map a bitrate to its quality score ``q(R)``."""
@@ -39,14 +54,12 @@ class QoEWeights:
             return bitrate_kbps / 1000.0
         if self.metric == "log":
             return float(np.log(bitrate_kbps / BITRATES_KBPS[0]))
-        if self.metric == "hd":
-            # The MPC paper's HD reward: low bitrates are worth little,
-            # HD bitrates disproportionately more.
-            table = dict(zip(BITRATES_KBPS, (1.0, 2.0, 3.0, 12.0, 15.0, 20.0)))
-            if bitrate_kbps not in table:
-                raise ValueError(f"HD metric requires ladder bitrates, got {bitrate_kbps}")
-            return table[bitrate_kbps]
-        raise ValueError(f"unknown QoE metric {self.metric!r}")
+        # "hd", the MPC paper's HD reward: low bitrates are worth little,
+        # HD bitrates disproportionately more.
+        table = dict(zip(BITRATES_KBPS, (1.0, 2.0, 3.0, 12.0, 15.0, 20.0)))
+        if bitrate_kbps not in table:
+            raise ValueError(f"HD metric requires ladder bitrates, got {bitrate_kbps}")
+        return table[bitrate_kbps]
 
 
 def chunk_qoe(

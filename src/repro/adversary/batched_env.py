@@ -19,8 +19,8 @@ one vectorized pass over all of them:
   path's per-env list-append + pad + concatenate becomes one reshape;
 - action scaling, smoothing penalties, the ``r_opt`` exhaustive search
   (one :func:`~repro.abr.protocols.optimal.optimal_qoe_exhaustive_batch`
-  call -- a single :func:`~repro.abr.protocols.optimal.plan_totals`
-  kernel pass over all lanes -- or, for ragged windows, one
+  call -- a single :func:`~repro.abr.protocols.optimal.best_plans`
+  search over all lanes -- or, for ragged windows, one
   :func:`~repro.abr.protocols.optimal.optimal_qoe_exhaustive_mixed` call)
   and reward assembly are all batched.
 
@@ -38,7 +38,9 @@ Rollouts are bitwise identical to the ``"sync"`` backend at every width
   left-associated Equation 1 assembly), so identical inputs give
   identical bytes per element.
 - The r_opt batch solver is bitwise equal to the scalar solver row by
-  row -- both are lanes of the same ``plan_totals`` kernel -- and seeding runs the identical ``VecEnv._spawn_seeds``
+  row -- both take ``best_plans``' best total, the exact float max of
+  the same per-plan totals whether the search scans or prunes -- and
+  seeding runs the identical ``VecEnv._spawn_seeds``
   (per-env seeds are drawn with the same side effects and -- exactly like
   the sync path -- discarded, because ``AbrAdversaryEnv.reset`` ignores
   them).

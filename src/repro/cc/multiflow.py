@@ -12,8 +12,12 @@ and so does the hot-path architecture (the multi-flow port of the PR 2
 fast path): integer event kinds, pre-drawn Bernoulli loss uniforms, a
 dedicated send-timer slot per flow instead of heap-resident send events,
 inlined queue admission with a maintained byte counter, and ``__slots__``
-flow records.  Two deliberate differences from the single-flow fast
-path, both forced by the bit-identity requirement (goldens pinned in
+flow records.  The bottleneck's egress timer lives in a dedicated slot
+too: the link transmits one packet at a time, so at most one egress is
+ever pending, and ``link.busy`` is exactly "the slot is set" (synced
+back to the link whenever ``run_until`` returns).  Two deliberate
+differences from the single-flow fast path, both forced by the
+bit-identity requirement (goldens pinned in
 ``tests/test_multiflow_goldens.py`` for all five senders, *not*
 re-pinned):
 
@@ -33,18 +37,21 @@ re-pinned):
   pricing the return leg at the delay then in force -- the same float
   the historical ``deliver`` event read when it popped.  No heap
   traffic either way.
-- *The event loop is fused.*  ``run_until`` dispatches on the kind int
-  and inlines the send/egress/ack bodies directly, mirroring the hot
-  counters (event counter, loss-block cursor, conservation totals) in
-  locals and syncing them back on exit; per-event attribute traffic is
-  what the handler-table indirection cost at N flows.  Only the rare
+- *The event loop is fused.*  ``run_until`` picks the earliest of the
+  heap head, the egress slot and the send slots, and inlines the
+  send/egress/ack bodies directly, mirroring the hot counters (event
+  counter, loss-block cursor, conservation totals) and the egress slot
+  in locals and syncing them back on exit; per-event attribute traffic
+  is what the handler-table indirection cost at N flows.  Only the rare
   RTO tick remains a method call.
 
-Event kinds:
+Event kinds (all ordered by one ``(time, counter)`` key, with counters
+assigned exactly as if every event went through the heap):
 
 - ``SEND``   -- a flow's pacing timer fires; transmit if its cwnd allows
   (never heap-resident: each flow has a dedicated timer slot),
-- ``EGRESS`` -- the head-of-line packet finishes transmission,
+- ``EGRESS`` -- the head-of-line packet finishes transmission (never
+  heap-resident: the link's one egress timer has a dedicated slot),
 - ``ACK``    -- the ack reaches the owning sender,
 - ``TICK``   -- periodic per-flow RTO check on a fixed ``tick_s`` grid.
 """
@@ -65,12 +72,11 @@ __all__ = ["FlowStats", "MultiFlowEmulator", "jain_fairness"]
 
 _TICK_S = 0.1
 
-# Integer event kinds: tuple comparison in the heap and the run_until
-# dispatch both reduce to small-int operations instead of string
-# compares.  SEND never enters the heap (each flow has a dedicated timer
-# slot) and DELIVER never exists as an event (in-window hops fold into
-# the ack, boundary-crossing hops wait in the pending-delivers list).
-_EGRESS, _ACK, _TICK = 0, 1, 2
+# Integer event kinds of the heap: the run_until dispatch reduces to a
+# small-int compare.  SEND and EGRESS never enter the heap (dedicated
+# timer slots) and DELIVER never exists as an event (in-window hops fold
+# into the ack, boundary-crossing hops wait in the pending-delivers list).
+_ACK, _TICK = 0, 1
 
 #: Uniform draws fetched from the generator per block.  Blocks preserve
 #: the exact per-packet draw sequence of the historical one-``random()``-
@@ -173,6 +179,11 @@ class MultiFlowEmulator:
         Explicit per-flow start times (seconds), overriding the stagger
         -- this is the knob the adversarial scenario matrix uses for
         competing-flow start control.
+
+    Start times and the stagger must be finite and non-negative, and
+    ``run_until``/``run_interval`` take finite times only: a NaN start
+    would stamp its packets at NaN and starve the other flows, and a NaN
+    or infinite horizon would never end.  All raise :class:`ValueError`.
     """
 
     def __init__(
@@ -194,14 +205,24 @@ class MultiFlowEmulator:
                 raise ValueError(
                     f"got {len(start_times)} start times for {len(senders)} senders"
                 )
-            if any(t < 0 for t in start_times):
-                raise ValueError(f"start times must be non-negative: {start_times}")
+            if not all(math.isfinite(t) and t >= 0 for t in start_times):
+                raise ValueError(
+                    f"start times must be finite and non-negative: {start_times}"
+                )
+        if not (math.isfinite(start_stagger_s) and start_stagger_s >= 0):
+            raise ValueError(
+                f"start_stagger_s must be finite and non-negative, got {start_stagger_s}"
+            )
         self.link = link
         self.rng = np.random.default_rng(seed)
         self.now = 0.0
         self.tick_s = tick_s
         self._events: list[tuple[float, int, int, Packet | None]] = []
         self._counter = 0
+        # The egress timer slot: (time, counter) of the head-of-line
+        # packet's transmission end, None while the link is idle.
+        self._egress_t: float | None = None
+        self._egress_c = 0
         # Packets past egress whose receiver hop crosses the current
         # window boundary: (deliver_time, counter, packet), converted to
         # ack events by the run_until window containing deliver_time (see
@@ -234,11 +255,14 @@ class MultiFlowEmulator:
         """Process all events up to simulated time ``t_end``.
 
         The fused hot loop (see the module docstring): interleaves the
-        heap with the per-flow send slots under the same (time, counter)
-        key the heap uses -- so event order is identical to scheduling
-        sends through the heap -- and inlines the send/egress/ack bodies
-        around the dispatch, mirroring the hot counters in locals.
+        heap with the egress slot and the per-flow send slots under the
+        same (time, counter) key the heap uses -- so event order is
+        identical to scheduling sends and egresses through the heap --
+        and inlines the send/egress/ack bodies around the dispatch,
+        mirroring the hot counters in locals.
         """
+        if not math.isfinite(t_end):
+            raise ValueError(f"t_end must be finite, got {t_end}")
         if t_end < self.now:
             raise ValueError("cannot run backwards in time")
         link = self.link
@@ -284,6 +308,8 @@ class MultiFlowEmulator:
         bytes_delivered = link.bytes_delivered
         drops_loss = link.drops_loss
         drops_queue = link.drops_queue
+        egress_t = self._egress_t
+        egress_c = self._egress_c
         # Earliest pending send across the flow slots; rescanned after a
         # send fires (O(n_flows), N is a handful), compare-updated on the
         # unblock paths (the waking slot was empty, so the cached min
@@ -306,6 +332,45 @@ class MultiFlowEmulator:
                         send_t = t
                         send_c = fl.send_c
                         send_i = i
+            # -- egress slot ------------------------------------------
+            if egress_t is not None and (
+                send_t is None or egress_t < send_t or (
+                    egress_t == send_t and egress_c < send_c
+                )
+            ) and (
+                not events or egress_t < events[0][0] or (
+                    egress_t == events[0][0] and egress_c < events[0][1]
+                )
+            ):
+                if egress_t > t_end:
+                    break
+                now = egress_t
+                # link.dequeue/start-service inlined.
+                packet = queue.popleft()
+                size = packet.size_bytes
+                queue_bytes -= size
+                bytes_delivered += size
+                flow = flows[packet.owner]
+                flow.delivered_bytes_interval += size
+                flow.delivered_bytes_total += size
+                acks_in_flight += 1
+                deliver_t = now + delay
+                counter += 1
+                if deliver_t <= t_end:
+                    # In-window receiver hop: fold (both legs see the
+                    # same frozen delay).
+                    heappush(events, (deliver_t + delay, counter, _ACK, packet))
+                else:
+                    pending.append((deliver_t, counter, packet))
+                if queue:
+                    nxt = queue[0]
+                    nxt.service_start = now
+                    counter += 1
+                    egress_t = now + nxt.size_bytes * 8.0 / rate_bps
+                    egress_c = counter
+                else:
+                    egress_t = None
+                continue
             if events:
                 head = events[0]
                 head_t = head[0]
@@ -317,8 +382,7 @@ class MultiFlowEmulator:
                         break
                     heappop(events)
                     now = head_t
-                    kind = head[2]
-                    if kind == _ACK:
+                    if head[2] == _ACK:
                         packet = head[3]
                         acks_in_flight -= 1
                         packets_delivered += 1
@@ -341,41 +405,6 @@ class MultiFlowEmulator:
                                 send_t = now
                                 send_c = counter
                                 send_i = owner
-                    elif kind == _EGRESS:
-                        # link.dequeue/start-service inlined.
-                        packet = queue.popleft()
-                        size = packet.size_bytes
-                        queue_bytes -= size
-                        bytes_delivered += size
-                        flow = flows[packet.owner]
-                        flow.delivered_bytes_interval += size
-                        flow.delivered_bytes_total += size
-                        acks_in_flight += 1
-                        deliver_t = now + delay
-                        counter += 1
-                        if deliver_t <= t_end:
-                            # In-window receiver hop: fold (both legs see
-                            # the same frozen delay).
-                            heappush(
-                                events, (deliver_t + delay, counter, _ACK, packet)
-                            )
-                        else:
-                            pending.append((deliver_t, counter, packet))
-                        if queue:
-                            nxt = queue[0]
-                            nxt.service_start = now
-                            counter += 1
-                            heappush(
-                                events,
-                                (
-                                    now + nxt.size_bytes * 8.0 / rate_bps,
-                                    counter,
-                                    _EGRESS,
-                                    None,
-                                ),
-                            )
-                        else:
-                            link.busy = False
                     else:  # _TICK (rare: every tick_s)
                         self.now = now
                         self._counter = counter
@@ -422,19 +451,11 @@ class MultiFlowEmulator:
                     # link.enqueue/start-service inlined.
                     queue.append(packet)
                     queue_bytes += mss
-                    if not link.busy:
-                        link.busy = True
+                    if egress_t is None:  # the link is idle
                         packet.service_start = now
                         counter += 1
-                        heappush(
-                            events,
-                            (
-                                now + mss * 8.0 / rate_bps,
-                                counter,
-                                _EGRESS,
-                                None,
-                            ),
-                        )
+                        egress_t = now + mss * 8.0 / rate_bps
+                        egress_c = counter
                 else:
                     drops_queue += 1
             else:
@@ -447,6 +468,9 @@ class MultiFlowEmulator:
             flow.send_c = counter
         self.now = t_end
         self._counter = counter
+        self._egress_t = egress_t
+        self._egress_c = egress_c
+        link.busy = egress_t is not None
         self._loss_idx = loss_idx
         self.packets_sent = packets_sent
         self.packets_delivered = packets_delivered
@@ -480,8 +504,8 @@ class MultiFlowEmulator:
 
     def run_interval(self, dt: float) -> list[FlowStats]:
         """Advance ``dt`` seconds; return per-flow delivery stats."""
-        if dt <= 0:
-            raise ValueError("interval must be positive")
+        if not (math.isfinite(dt) and dt > 0):
+            raise ValueError(f"interval must be positive and finite, got {dt}")
         for flow in self.flows:
             flow.delivered_bytes_interval = 0
         self.run_until(self.now + dt)

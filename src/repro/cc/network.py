@@ -28,6 +28,7 @@ running-sum accumulators and three heap operations (send, egress, ack).
 from __future__ import annotations
 
 import heapq
+import math
 from dataclasses import dataclass
 from heapq import heappop, heappush
 
@@ -163,6 +164,8 @@ class PacketNetworkEmulator:
         same (time, counter) key the heap uses, so event order is
         identical to scheduling sends through the heap.
         """
+        if not math.isfinite(t_end):
+            raise ValueError(f"t_end must be finite, got {t_end}")
         if t_end < self.now:
             raise ValueError("cannot run backwards in time")
         events = self._events
@@ -329,8 +332,8 @@ class PacketNetworkEmulator:
 
     def run_interval(self, dt: float) -> IntervalStats:
         """Advance ``dt`` seconds and return this interval's link stats."""
-        if dt <= 0:
-            raise ValueError("interval must be positive")
+        if not (math.isfinite(dt) and dt > 0):
+            raise ValueError(f"interval must be positive and finite, got {dt}")
         t_start = self.now
         self._interval_bytes = 0
         self._interval_sojourn_sum = 0.0

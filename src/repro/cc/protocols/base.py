@@ -69,8 +69,10 @@ class Sender:
             rate = (delivered - packet.delivered_at_send) * 8.0 / interval
         else:
             rate = 0.0
-        if seq > self.highest_seq_acked:
-            self.highest_seq_acked = seq
+        highest = self.highest_seq_acked
+        if seq > highest:
+            self.highest_seq_acked = highest = seq
+        sojourn = packet.service_start - packet.ingress_time
         # Positional construction: this runs once per delivered packet.
         ack = AckInfo(
             seq,
@@ -78,11 +80,16 @@ class Sender:
             rtt,
             delivered,
             rate,
-            max(packet.service_start - packet.ingress_time, 0.0),
+            # max(sojourn, 0.0) without the builtin call: the same value,
+            # NaN and -0.0 included.
+            0.0 if sojourn < 0.0 else sojourn,
             packet.delivered_at_send,
         )
         self.on_ack(ack)
-        self._detect_losses(now)
+        # _detect_losses' first test, inlined: most acks leave the head
+        # of ``inflight`` within the reordering threshold.
+        if inflight and next(iter(inflight)) < highest - _DUP_THRESHOLD:
+            self._detect_losses(now)
 
     def _detect_losses(self, now: float) -> None:
         """Declare packets reordered past the dup-ack threshold as lost.

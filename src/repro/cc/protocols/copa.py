@@ -50,14 +50,6 @@ class CopaSender(Sender):
 
     # -- filters --------------------------------------------------------------
 
-    @staticmethod
-    def _push_min(filt: deque, now: float, rtt: float, window: float) -> None:
-        while filt and filt[-1][1] >= rtt:
-            filt.pop()
-        filt.append((now, rtt))
-        while filt and filt[0][0] < now - window:
-            filt.popleft()
-
     @property
     def rtt_min_s(self) -> float | None:
         return self._rtt_min[0][1] if self._rtt_min else None
@@ -74,31 +66,65 @@ class CopaSender(Sender):
     # -- hooks -----------------------------------------------------------------
 
     def on_ack(self, ack: AckInfo) -> None:
-        srtt = self.srtt_s if self.srtt_s is not None else ack.rtt_s
-        self._push_min(self._rtt_min, ack.now, ack.rtt_s, self.rtt_min_window_s)
-        self._push_min(
-            self._rtt_standing, ack.now, ack.rtt_s,
-            max(self.standing_window_factor * srtt, 0.01),
-        )
+        # One call per delivered packet, so the filter pushes, the
+        # properties above and the max/min builtins are written out in
+        # place, op for op: ``max(a, b)`` is ``b if b > a else a`` and
+        # ``min(a, b)`` is ``b if b < a else a``.
+        now = ack.now
+        rtt = ack.rtt_s
+        srtt = self.srtt_s
+        if srtt is None:
+            srtt = rtt
+        # Windowed minima as monotonic deques of (time, rtt): the RTT
+        # floor over ``rtt_min_window_s`` and the standing RTT over half
+        # an srtt (at least 10 ms).
+        rtt_min = self._rtt_min
+        while rtt_min and rtt_min[-1][1] >= rtt:
+            rtt_min.pop()
+        rtt_min.append((now, rtt))
+        horizon = now - self.rtt_min_window_s
+        while rtt_min and rtt_min[0][0] < horizon:
+            rtt_min.popleft()
+        window = self.standing_window_factor * srtt
+        if 0.01 > window:
+            window = 0.01
+        standing = self._rtt_standing
+        while standing and standing[-1][1] >= rtt:
+            standing.pop()
+        standing.append((now, rtt))
+        horizon = now - window
+        while standing and standing[0][0] < horizon:
+            standing.popleft()
 
-        dq = self.queuing_delay_s()
+        rtt_standing = standing[0][1] if standing else None
+        if rtt_min and standing:
+            dq = rtt_standing - rtt_min[0][1]
+            if 0.0 > dq:
+                dq = 0.0
+        else:
+            dq = 0.0
         if dq <= 1e-6:
             target_rate = float("inf")
         else:
             target_rate = 1.0 / (self.delta * dq)  # packets per second
-        current_rate = self.cwnd / max(self.rtt_standing_s or srtt, 1e-6)
+        rtt_base = rtt_standing or srtt
+        if 1e-6 > rtt_base:
+            rtt_base = 1e-6
+        cwnd = self.cwnd
+        current_rate = cwnd / rtt_base
 
         direction = 1 if current_rate < target_rate else -1
         if direction != self._direction:
             self._direction = direction
-            self._direction_since = ack.now
+            self._direction_since = now
             self.velocity = 1.0
-        elif ack.now - self._direction_since > 2.0 * srtt:
+        elif now - self._direction_since > 2.0 * srtt:
             # Stable direction for a couple of RTTs: accelerate.
-            self.velocity = min(self.velocity * 2.0, self.cwnd)
-            self._direction_since = ack.now
-        self.cwnd += direction * self.velocity / (self.delta * self.cwnd)
-        self.cwnd = max(self.cwnd, 2.0)
+            velocity = self.velocity * 2.0
+            self.velocity = cwnd if cwnd < velocity else velocity
+            self._direction_since = now
+        cwnd = cwnd + direction * self.velocity / (self.delta * cwnd)
+        self.cwnd = 2.0 if 2.0 > cwnd else cwnd
 
     def on_packet_lost(self, seq: int, now: float) -> None:
         # Default-mode Copa reacts to loss only through the delay signal.

@@ -5,7 +5,7 @@ video.  Requests flow through the :class:`~repro.serve.coalescer.Coalescer`;
 each window is processed synchronously on the event loop: sessions are
 created/validated/advanced, the window is grouped by protocol, and every
 group is served with **one** batched adapter call -- a single flat-NN
-forward for Pensieve, one ``plan_totals`` plan search per lookahead group
+forward for Pensieve, one ``best_plans`` plan search per lookahead group
 for MPC, one broadcast rule sweep for BB/BOLA.  This reuses the
 :mod:`repro.abr.batched` adapters unchanged (they only read the session
 surface that :class:`~repro.serve.state.RemoteSession` mirrors), so the

@@ -12,6 +12,7 @@ from repro.abr.protocols import (
     MPC,
     BufferBased,
     RateBased,
+    best_plans,
     optimal_plan_dp,
     optimal_qoe_exhaustive,
     plan_totals,
@@ -224,3 +225,72 @@ class TestPlanTotals:
             row = expected[lane].tolist()
             first = plans[row.index(max(row))][0]
             assert int(np.argmax(totals[lane])) // n_b ** (steps - 1) == first
+
+
+@st.composite
+def search_cases(draw):
+    steps = draw(st.integers(1, 6))
+    # The pure-Python reference scans lanes x plans: at most 70 x 729.
+    n_b = draw(st.integers(2, max(n for n in range(2, 7) if n**steps <= 729)))
+    n_lanes = draw(st.integers(1, 70))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    downloads = rng.uniform(0.1, 12.0, (n_lanes, steps, n_b))
+    qualities = np.sort(rng.uniform(0.0, 5.0, n_b))
+    rebuffer_penalty = draw(st.floats(0.0, 10.0))
+    smooth_penalty = draw(st.floats(0.0, 3.0))
+    if draw(st.booleans()):
+        # Forced ties: two rungs of equal size and score, and penalties
+        # that may be zero, so distinct plans reach bitwise-equal totals.
+        c = draw(st.integers(1, n_b - 1))
+        downloads[:, :, c] = downloads[:, :, c - 1]
+        qualities[c] = qualities[c - 1]
+        rebuffer_penalty *= draw(st.sampled_from([0.0, 1.0]))
+        smooth_penalty *= draw(st.sampled_from([0.0, 1.0]))
+    start_buffers = rng.uniform(0.0, 40.0, n_lanes)
+    prev = [draw(st.one_of(st.none(), st.integers(0, n_b - 1))) for _ in range(n_lanes)]
+    prev_values = np.array([0.0 if p is None else qualities[p] for p in prev])
+    has_prev = np.array([p is not None for p in prev])
+    weights = QoEWeights(rebuffer_penalty=rebuffer_penalty, smooth_penalty=smooth_penalty)
+    buffer_cap = draw(st.sampled_from([BUFFER_CAP_S, 12.0, np.inf]))
+    chunk_seconds = draw(st.sampled_from([1.0, 4.0]))
+    # 0 prunes every multi-step search, however small; the default
+    # leaves the small ones on the dense path.
+    prune_min = draw(st.sampled_from([0, optimal._PRUNE_MIN_PLANS]))
+    case = (downloads, start_buffers, prev_values, has_prev, qualities, weights,
+            buffer_cap, chunk_seconds)
+    return prune_min, case
+
+
+class TestBestPlans:
+    @given(search_cases())
+    @settings(max_examples=50, deadline=None)
+    def test_matches_product_order_reference_bitwise(self, drawn):
+        prune_min, case = drawn
+        with mock.patch.object(optimal, "_PRUNE_MIN_PLANS", prune_min):
+            best, index = best_plans(*case)
+        expected = reference_totals(*case)
+        rows = [row.tolist() for row in expected]
+        firsts = [row.index(max(row)) for row in rows]
+        assert best.tobytes() == np.array([max(row) for row in rows]).tobytes()
+        assert index.tolist() == firsts
+
+    @pytest.mark.parametrize("n_lanes,steps", [(64, 5), (32, 5), (16, 4), (64, 4)])
+    def test_pruned_mpc_shapes_match_full_scan(self, n_lanes, steps):
+        """Benchmark-sized searches take the pruned path and still return
+        the full scan's row max and first argmax."""
+        assert n_lanes * 6**steps >= optimal._PRUNE_MIN_PLANS
+        video = Video.synthetic(n_chunks=12, seed=7)
+        rng = np.random.default_rng(n_lanes * steps)
+        rates = rng.uniform(0.2, 6.0, n_lanes) * 1e6 / 8.0 * PACKET_PAYLOAD_PORTION
+        downloads = (video.chunk_sizes_bytes[None, :steps] / rates[:, None, None]
+                     + LINK_RTT_S)
+        qualities = np.array([QoEWeights().quality(b) for b in video.bitrates_kbps])
+        prev = rng.integers(0, 6, n_lanes)
+        case = (downloads, rng.uniform(0.0, 30.0, n_lanes), qualities[prev],
+                rng.random(n_lanes) < 0.8, qualities, QoEWeights(), np.inf,
+                video.chunk_seconds)
+        totals = plan_totals(*case)
+        with mock.patch.object(optimal, "plan_totals", side_effect=AssertionError):
+            best, index = best_plans(*case)
+        assert best.tobytes() == totals.max(axis=1).tobytes()
+        assert np.array_equal(index, totals.argmax(axis=1))

@@ -37,6 +37,20 @@ class TestChunkQoE:
         with pytest.raises(ValueError):
             QoEWeights(metric="nope").quality(300.0)
 
+    def test_unknown_metric_rejected_at_construction(self):
+        with pytest.raises(ValueError, match="metric"):
+            QoEWeights(metric="nope")
+
+    @pytest.mark.parametrize("field", ["rebuffer_penalty", "smooth_penalty"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, -0.5])
+    def test_bad_penalty_rejected(self, field, bad):
+        with pytest.raises(ValueError, match=field):
+            QoEWeights(**{field: bad})
+
+    def test_zero_penalties_allowed(self):
+        w = QoEWeights(rebuffer_penalty=0.0, smooth_penalty=0.0, metric="log")
+        assert chunk_qoe(1200.0, 3.0, 300.0, w) == pytest.approx(np.log(4.0))
+
 
 class TestVideoQoE:
     def test_matches_paper_formula(self):

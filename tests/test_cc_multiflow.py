@@ -143,6 +143,37 @@ class TestTickParameter:
         with pytest.raises(ValueError, match="non-negative"):
             MultiFlowEmulator([CubicSender()], link, start_times=[-1.0])
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_non_finite_start_time_rejected(self, bad):
+        link = TimeVaryingLink(10.0, 40.0)
+        with pytest.raises(ValueError, match="start times"):
+            MultiFlowEmulator([BBRSender(), CubicSender()], link, start_times=[bad, 0.0])
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -0.5])
+    def test_bad_stagger_rejected(self, bad):
+        link = TimeVaryingLink(10.0, 40.0)
+        with pytest.raises(ValueError, match="start_stagger_s"):
+            MultiFlowEmulator([BBRSender(), CubicSender()], link, start_stagger_s=bad)
+
+
+class TestNonFiniteHorizon:
+    """A NaN or infinite horizon used to run forever; it must raise."""
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_run_interval_rejects(self, bad):
+        emulator = MultiFlowEmulator([CubicSender()], TimeVaryingLink(10.0, 40.0))
+        emulator.run_interval(0.05)
+        with pytest.raises(ValueError, match="interval"):
+            emulator.run_interval(bad)
+        assert emulator.now == pytest.approx(0.05)
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_run_until_rejects(self, bad):
+        emulator = MultiFlowEmulator([CubicSender()], TimeVaryingLink(10.0, 40.0))
+        with pytest.raises(ValueError, match="t_end"):
+            emulator.run_until(bad)
+        assert emulator.now == 0.0
+
 
 class TestConservation:
     """Multi-flow analogues of the PR 2 single-flow conservation layer."""
@@ -167,6 +198,30 @@ class TestConservation:
         )
         assert sum(f.delivered_bytes_total for f in emulator.flows) == \
             link.bytes_delivered
+
+    def test_egress_slot_and_conservation_at_every_interval_end(self):
+        """Lossy two-flow run with the latency swinging every interval:
+        after each ``run_interval`` the link is busy exactly when an
+        egress is pending (i.e. the queue is non-empty), and the packet
+        conservation identity holds."""
+        link = TimeVaryingLink(10.0, 30.0, loss_rate=0.02, queue_packets=40)
+        emulator = MultiFlowEmulator([BBRSender(), CubicSender()], link, seed=3,
+                                     start_stagger_s=0.05)
+        latencies = np.random.default_rng(5).uniform(5.0, 120.0, 300)
+        busy_seen = idle_seen = 0
+        for latency in latencies:
+            emulator.set_conditions(10.0, latency, 0.02)
+            emulator.run_interval(0.03)
+            pending = emulator._egress_t is not None
+            assert link.busy == pending == bool(link.queue)
+            busy_seen += pending
+            idle_seen += not pending
+            assert emulator.packets_sent == (
+                emulator.packets_delivered + link.drops_loss + link.drops_queue
+                + len(link.queue) + emulator.acks_in_flight
+            )
+        assert busy_seen and idle_seen
+        assert link.drops_loss > 0
 
     def test_packet_conservation_identity(self):
         emulator, link = self._run([BBRSender(), CubicSender()], loss=0.01,

@@ -105,6 +105,17 @@ class TestEmulatorBasics:
         with pytest.raises(ValueError):
             emu.run_until(0.5)
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_non_finite_horizon_rejected(self, bad):
+        """A NaN or infinite horizon used to run forever; it must raise."""
+        emu, _s, _l = make_emulator()
+        emu.run_interval(0.03)
+        with pytest.raises(ValueError, match="interval"):
+            emu.run_interval(bad)
+        with pytest.raises(ValueError, match="t_end"):
+            emu.run_until(bad)
+        assert emu.now == pytest.approx(0.03)
+
     def test_set_conditions_takes_effect(self):
         emu, _sender, link = make_emulator()
         emu.run_interval(0.03)
