@@ -119,6 +119,57 @@ class ScalarBaselineBBR(BBRSender):
         self._update_filters(ack)
         self._update_state(ack.now)
 
+    def _update_filters(self, ack):
+        if ack.delivery_rate_bps > 0:
+            while self._bw_samples and self._bw_samples[-1][1] <= ack.delivery_rate_bps:
+                self._bw_samples.pop()
+            self._bw_samples.append((self.round_count, ack.delivery_rate_bps))
+            cutoff = self.round_count - self.bw_window_rounds
+            while self._bw_samples and self._bw_samples[0][0] < cutoff:
+                self._bw_samples.popleft()
+
+        # Kernel-style min filter: a strictly lower sample, or an expired
+        # window, replaces the estimate and restamps it.  The pre-update
+        # expiry flag is what triggers PROBE_RTT in ``_update_state``.
+        self._rtprop_expired = (
+            self._min_rtt_s is not None
+            and ack.now - self._rtprop_stamp > self.rtprop_window_s
+        )
+        if self._min_rtt_s is None or ack.rtt_s < self._min_rtt_s or self._rtprop_expired:
+            self._min_rtt_s = ack.rtt_s
+            self._rtprop_stamp = ack.now
+
+    def _update_state(self, now):
+        if self.mode == self.STARTUP:
+            self._check_full_pipe()
+            if self.filled_pipe:
+                self._set_mode(self.DRAIN, now)
+        if self.mode == self.DRAIN and self.inflight_packets <= self._bdp_packets():
+            self._set_mode(self.PROBE_BW, now)
+            self.cycle_index = 0
+            self._cycle_start = now
+        if self.mode == self.PROBE_BW:
+            rtprop = self.rtprop_s or 0.05
+            if now - self._cycle_start > rtprop:
+                self.cycle_index = (self.cycle_index + 1) % len(self.CYCLE_GAINS)
+                self._cycle_start = now
+        # PROBE_RTT entry: the RTprop estimate went stale (no sample at or
+        # below the running minimum for a full window).
+        if self.mode != self.PROBE_RTT and self._rtprop_expired:
+            self._rtprop_expired = False
+            self._set_mode(self.PROBE_RTT, now)
+            self._probe_rtt_done = now + self.probe_rtt_duration_s
+        if self.mode == self.PROBE_RTT and self._probe_rtt_done is not None:
+            if now >= self._probe_rtt_done:
+                self._rtprop_stamp = now
+                self._probe_rtt_done = None
+                if self.filled_pipe:
+                    self._set_mode(self.PROBE_BW, now)
+                    self.cycle_index = 0
+                    self._cycle_start = now
+                else:
+                    self._set_mode(self.STARTUP, now)
+
     def _detect_losses(self, now):
         lost = [
             seq

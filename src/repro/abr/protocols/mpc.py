@@ -23,7 +23,7 @@ import numpy as np
 
 from repro.abr.protocols.base import AbrPolicy
 from repro.abr.protocols.optimal import best_plans
-from repro.abr.protocols.rate_based import harmonic_mean_mbps
+from repro.abr.protocols.rate_based import harmonic_mean_mbps, positive_int
 from repro.abr.qoe import QoEWeights
 from repro.abr.simulator import LINK_RTT_S, PACKET_PAYLOAD_PORTION, AbrObservation
 from repro.abr.video import Video
@@ -43,10 +43,8 @@ class MPC(AbrPolicy):
         robust: bool = True,
         weights: QoEWeights = QoEWeights(),
     ) -> None:
-        if horizon <= 0:
-            raise ValueError("horizon must be positive")
-        self.horizon = int(horizon)
-        self.window = int(window)
+        self.horizon = positive_int("horizon", horizon)
+        self.window = positive_int("window", window)
         self.robust = robust
         self.weights = weights
         self._video: Video | None = None

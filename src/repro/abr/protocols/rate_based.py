@@ -7,6 +7,8 @@ highest ladder rate not exceeding it.
 
 from __future__ import annotations
 
+import numbers
+
 from repro.abr.protocols.base import AbrPolicy
 from repro.abr.simulator import AbrObservation
 from repro.abr.video import Video
@@ -14,12 +16,24 @@ from repro.abr.video import Video
 __all__ = ["RateBased", "harmonic_mean_mbps"]
 
 
+def positive_int(name: str, value) -> int:
+    """``value`` as an ``int``; :class:`ValueError` unless it is an integer >= 1.
+
+    A window of 0 would slice ``history[-0:]``, i.e. the whole history,
+    and a fractional horizon would be truncated silently.
+    """
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 1:
+        raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
+    return int(value)
+
+
 def harmonic_mean_mbps(history: list[tuple[float, float]], window: int = 5) -> float:
     """Harmonic-mean throughput (Mbps) of the last ``window`` downloads.
 
     ``history`` holds ``(size_bytes, download_seconds)`` pairs.  Returns 0
-    when no samples exist.
+    when no samples exist.  ``window`` must be an integer >= 1.
     """
+    window = positive_int("window", window)
     samples = [
         size * 8.0 / dl / 1e6 for size, dl in history[-window:] if dl > 0 and size > 0
     ]
@@ -37,7 +51,7 @@ class RateBased(AbrPolicy):
         if safety <= 0:
             raise ValueError("safety factor must be positive")
         self.safety = float(safety)
-        self.window = int(window)
+        self.window = positive_int("window", window)
         self._video: Video | None = None
 
     def reset(self, video: Video) -> None:

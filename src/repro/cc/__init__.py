@@ -1,8 +1,10 @@
 """Congestion-control substrate.
 
-A discrete-event, packet-level single-bottleneck emulator in the spirit of
+A discrete-event, packet-level single-bottleneck engine in the spirit of
 the modified Mahimahi the paper used ("an event-based approach to packet
-delivery", section 4), plus sender implementations:
+delivery", section 4): :class:`MultiFlowEmulator` runs N senders through
+one bottleneck, and :class:`PacketNetworkEmulator` is its one-flow view.
+Sender implementations:
 
 - :mod:`repro.cc.protocols.bbr` -- BBRv1 state machine (the paper's case
   study),

@@ -1,49 +1,41 @@
-"""Multi-flow emulation: several senders sharing one bottleneck.
+"""The packet-level CC engine: N senders sharing one bottleneck.
 
 Section 5 points at adversarial goals beyond single-flow utilization --
 "finding conditions in which the protocol causes the highest amount of
 congestion", incast, unfairness.  Those need more than one flow through
-the bottleneck; this module extends the single-flow emulator to N
-senders sharing the droptail queue, and provides Jain's fairness index
-over their goodputs.
+the bottleneck: this engine runs N senders through one droptail queue,
+and provides Jain's fairness index over their goodputs.  It is the repo's
+only packet event loop; the single-flow API
+(:class:`repro.cc.network.PacketNetworkEmulator`) is a one-flow view over
+it.
 
-The mechanics mirror :class:`repro.cc.network.PacketNetworkEmulator`,
-and so does the hot-path architecture (the multi-flow port of the PR 2
-fast path): integer event kinds, pre-drawn Bernoulli loss uniforms, a
-dedicated send-timer slot per flow instead of heap-resident send events,
-inlined queue admission with a maintained byte counter, and ``__slots__``
-flow records.  The bottleneck's egress timer lives in a dedicated slot
-too: the link transmits one packet at a time, so at most one egress is
-ever pending, and ``link.busy`` is exactly "the slot is set" (synced
-back to the link whenever ``run_until`` returns).  Two deliberate
-differences from the single-flow fast path, both forced by the
-bit-identity requirement (goldens pinned in
-``tests/test_multiflow_goldens.py`` for all five senders, *not*
-re-pinned):
+Delay model: each direction's propagation delay is the one in force when
+the packet enters that direction, as in a Mahimahi delay shell.  The data
+leg is priced at egress; the ack leg at the receiver.  A receiver hop
+landing inside the current ``run_until`` horizon schedules its ack
+directly at ``+2 x one_way_delay`` -- conditions cannot change mid-window
+(``set_conditions`` is only called between ``run_interval`` calls), so
+both legs see the same delay and the folded ack time is the identical
+float.  A hop that crosses the window boundary goes to a
+*pending-delivers* list instead of the heap; each later ``run_until``
+converts the entries whose deliver time falls inside its window, pricing
+the return leg at the delay then in force.
 
-- *The deliver hop folds conditionally.*  The ack's second leg must be
-  priced at the one-way delay *in force when the packet reaches the
-  receiver*, and the adversarial scenario matrix changes latency every
-  interval; the single-flow emulator folds unconditionally (and
-  re-pinned its goldens for the interval-boundary cases where that moves
-  ack arrival times).  Here a receiver hop landing inside the current
-  ``run_until`` horizon schedules its ack directly at ``+2 x
-  one_way_delay`` -- conditions cannot change mid-window
-  (``set_conditions`` is only called between ``run_interval`` calls), so
-  both legs provably see the same delay and the folded ack time is the
-  identical float.  A hop that crosses the window boundary goes to a
-  *pending-delivers* list instead of the heap; each later ``run_until``
-  converts the entries whose deliver time falls inside its window,
-  pricing the return leg at the delay then in force -- the same float
-  the historical ``deliver`` event read when it popped.  No heap
-  traffic either way.
-- *The event loop is fused.*  ``run_until`` picks the earliest of the
-  heap head, the egress slot and the send slots, and inlines the
-  send/egress/ack bodies directly, mirroring the hot counters (event
-  counter, loss-block cursor, conservation totals) and the egress slot
-  in locals and syncing them back on exit; per-event attribute traffic
-  is what the handler-table indirection cost at N flows.  Only the rare
-  RTO tick remains a method call.
+Hot-path architecture: integer event kinds, pre-drawn Bernoulli loss
+uniforms, a dedicated send-timer slot per flow instead of heap-resident
+send events, inlined queue admission with a maintained byte counter, and
+``__slots__`` flow records.  The bottleneck's egress timer lives in a
+dedicated slot too: the link transmits one packet at a time, so at most
+one egress is ever pending, and ``link.busy`` is exactly "the slot is
+set" (synced back to the link whenever ``run_until`` returns).  The
+event loop is fused: ``run_until`` picks the earliest of the heap head,
+the egress slot and the send slots, and inlines the send/egress/ack
+bodies directly, mirroring the hot counters (event counter, loss-block
+cursor, conservation totals, link accumulators) and the egress slot in
+locals and syncing them back on exit.  Only the rare RTO tick remains a
+method call.  ``can_send`` and ``register_send`` are inlined from
+:class:`~repro.cc.protocols.base.Sender`, so senders must not override
+them.
 
 Event kinds (all ordered by one ``(time, counter)`` key, with counters
 assigned exactly as if every event went through the heap):
@@ -237,6 +229,12 @@ class MultiFlowEmulator:
         self.packets_sent = 0
         self.packets_delivered = 0
         self.acks_in_flight = 0
+        # Queue sojourn (service start minus ingress) of the packets that
+        # reached egress: the sum of the positive ones and the count of
+        # all.  Only callers reset them; the one-flow view zeroes both at
+        # each interval start for its mean sojourn.
+        self.sojourn_sum = 0.0
+        self.sojourn_count = 0
         # Counter assignment order matches the historical implementation:
         # one send per flow (counters 1..N), then the first tick (N+1).
         for index, flow in enumerate(self.flows):
@@ -308,6 +306,8 @@ class MultiFlowEmulator:
         bytes_delivered = link.bytes_delivered
         drops_loss = link.drops_loss
         drops_queue = link.drops_queue
+        sojourn_sum = self.sojourn_sum
+        sojourn_count = self.sojourn_count
         egress_t = self._egress_t
         egress_c = self._egress_c
         # Earliest pending send across the flow slots; rescanned after a
@@ -353,6 +353,10 @@ class MultiFlowEmulator:
                 flow = flows[packet.owner]
                 flow.delivered_bytes_interval += size
                 flow.delivered_bytes_total += size
+                sojourn = packet.service_start - packet.ingress_time
+                if sojourn > 0.0:
+                    sojourn_sum += sojourn
+                sojourn_count += 1
                 acks_in_flight += 1
                 deliver_t = now + delay
                 counter += 1
@@ -479,6 +483,8 @@ class MultiFlowEmulator:
         link.bytes_delivered = bytes_delivered
         link.drops_loss = drops_loss
         link.drops_queue = drops_queue
+        self.sojourn_sum = sojourn_sum
+        self.sojourn_count = sojourn_count
 
     def _on_tick(self, _packet: Packet | None) -> None:
         now = self.now

@@ -28,7 +28,7 @@ class Packet:
     ingress_time: float = 0.0
     service_start: float = 0.0
     #: Owning flow index in :class:`~repro.cc.multiflow.MultiFlowEmulator`
-    #: (-1 for the single-flow emulator, which has no demultiplexing).
+    #: (-1 until the engine admits the packet to the queue).
     owner: int = -1
 
 

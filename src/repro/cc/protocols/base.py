@@ -11,6 +11,8 @@ The emulator interacts with a sender through four calls:
 
 Protocols implement the ``on_ack`` / ``on_packet_lost`` / ``on_timeout``
 hooks plus the :attr:`cwnd_packets` and :meth:`pacing_rate_bps` controls.
+The engine (:class:`~repro.cc.multiflow.MultiFlowEmulator`) inlines
+``can_send`` and ``register_send``, so subclasses must not override them.
 """
 
 from __future__ import annotations

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.abr.protocols import MPC, BufferBased, RateBased, run_session
+from repro.abr.protocols.rate_based import harmonic_mean_mbps
 from repro.abr.simulator import AbrObservation, ControlledBandwidth, StreamingSession
 from repro.abr.video import Video
 from repro.traces.trace import Trace
@@ -86,6 +87,22 @@ class TestRateBased:
         with pytest.raises(ValueError):
             RateBased(safety=0.0)
 
+    @pytest.mark.parametrize("window", [0, -1, 2.5, 5.0, True, None, "5"])
+    def test_invalid_window(self, window):
+        # window=0 would slice history[-0:], i.e. average everything.
+        with pytest.raises(ValueError, match="window"):
+            RateBased(window=window)
+
+    @pytest.mark.parametrize("window", [0, -1, 2.5])
+    def test_harmonic_mean_rejects_bad_window(self, window):
+        with pytest.raises(ValueError, match="window"):
+            harmonic_mean_mbps([(2.0e6 / 8.0, 1.0)] * 3, window)
+
+    def test_harmonic_mean_accepts_numpy_window(self):
+        history = [(1.0e6 / 8.0, 1.0), (2.0e6 / 8.0, 1.0), (4.0e6 / 8.0, 1.0)]
+        assert harmonic_mean_mbps(history, np.int64(1)) == pytest.approx(4.0)
+        assert harmonic_mean_mbps(history, 2) == pytest.approx(2 / (1 / 2 + 1 / 4))
+
 
 class TestMPC:
     def test_first_decision_is_conservative(self, video):
@@ -132,6 +149,22 @@ class TestMPC:
     def test_invalid_horizon(self):
         with pytest.raises(ValueError):
             MPC(horizon=0)
+
+    @pytest.mark.parametrize("horizon", [-2, 2.5, 3.0, False])
+    def test_non_integer_or_negative_horizon(self, horizon):
+        # int(2.5) would truncate the horizon to 2 silently.
+        with pytest.raises(ValueError, match="horizon"):
+            MPC(horizon=horizon)
+
+    @pytest.mark.parametrize("window", [0, -1, 2.5])
+    def test_invalid_window(self, window):
+        with pytest.raises(ValueError, match="window"):
+            MPC(window=window)
+
+    def test_numpy_integers_accepted(self):
+        mpc = MPC(horizon=np.int64(3), window=np.int32(4))
+        assert (mpc.horizon, mpc.window) == (3, 4)
+        assert type(mpc.horizon) is int and type(mpc.window) is int
 
     def test_horizon_truncated_at_video_end(self, video):
         mpc = MPC(horizon=5)

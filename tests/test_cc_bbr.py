@@ -106,7 +106,10 @@ class TestFilterPoisoning:
         sender.round_count = 5
         from repro.cc.packet import AckInfo
 
+        # The ack starts round 6 (delivered_at_send reaches the round
+        # marker), so the round-0 high is past the 2-round window.
         ack = AckInfo(seq=1, now=1.0, rtt_s=0.04, delivered_bytes=1500,
                       delivery_rate_bps=5e6, queue_sojourn_s=0.0)
-        sender._update_filters(ack)
+        sender.on_ack(ack)
+        assert sender.round_count == 6
         assert sender.max_bw_bps == pytest.approx(5e6)

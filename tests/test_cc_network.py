@@ -1,9 +1,14 @@
-"""Tests for the packet-level emulator (repro.cc.network)."""
+"""Tests for the single-flow emulator (repro.cc.network), the one-flow
+view over repro.cc.multiflow.MultiFlowEmulator."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro.cc import BBRSender, CopaSender, CubicSender, RenoSender, VivaceSender
 from repro.cc.link import TimeVaryingLink
+from repro.cc.multiflow import MultiFlowEmulator
 from repro.cc.network import PacketNetworkEmulator
 from repro.cc.packet import MSS_BYTES, AckInfo
 from repro.cc.protocols.base import Sender
@@ -53,7 +58,7 @@ class TestEmulatorBasics:
         for _ in range(100):
             emu.run_interval(0.03)
         emu.run_until(emu.now + 1.0)  # let the pipe drain acks
-        sent = emu._next_seq
+        sent = emu.packets_sent
         accounted = (
             sender.total_acked
             + link.drops_loss
@@ -77,7 +82,7 @@ class TestEmulatorBasics:
         for _ in range(100):
             emu.run_interval(0.03)
         assert link.drops_loss > 0
-        observed = link.drops_loss / emu._next_seq
+        observed = link.drops_loss / emu.packets_sent
         assert observed == pytest.approx(0.10, abs=0.03)
 
     def test_queue_overflow_drops(self):
@@ -174,19 +179,22 @@ def assert_conserved(emu):
 
 
 class FiniteSender(GreedySender):
-    """Sends a fixed budget of packets, then goes idle forever."""
+    """Sends a fixed budget of packets, then goes idle forever.
+
+    The engine inlines ``can_send``/``register_send``, so the budget lives
+    in the window: every packet sent is in flight, acked or lost, so
+    ``len(inflight) < n_packets - acked - lost`` exactly when fewer than
+    ``n_packets`` were sent, and acked/lost only move where the engine
+    re-reads ``cwnd_packets``.
+    """
 
     def __init__(self, n_packets, cwnd=8):
         super().__init__(cwnd=cwnd)
         self.n_packets = n_packets
-        self.sent = 0
 
-    def register_send(self, packet):
-        self.sent += 1
-        super().register_send(packet)
-
-    def can_send(self):
-        return self.sent < self.n_packets and super().can_send()
+    @property
+    def cwnd_packets(self) -> int:
+        return min(self._cwnd, self.n_packets - self.total_acked - self.total_lost)
 
 
 class TestConservationInvariants:
@@ -254,38 +262,69 @@ class TestUtilizationRaw:
         assert stats.utilization_raw == stats.utilization <= 1.0
 
 
-class TestIdleTickSuppression:
-    def test_never_sending_schedules_no_events(self):
-        # cwnd 0: the initial send blocks immediately; with the RTO tick
-        # armed only on transmit, the heap must go (and stay) empty instead
-        # of churning a tick every 100 ms.
-        emu, _sender, _link = make_emulator(sender=GreedySender(cwnd=0))
+class TestIdleFlow:
+    def test_never_sending_flow_sends_nothing(self):
+        # cwnd 0: the initial send blocks immediately, and the RTO grid
+        # (nothing in flight) never wakes it.
+        emu, _sender, link = make_emulator(sender=GreedySender(cwnd=0))
         emu.run_until(10.0)
-        assert emu._events == []
+        assert emu.packets_sent == 0
+        assert link.bytes_delivered == 0
+        assert_conserved(emu)
 
-    def test_tick_disarms_after_workload_drains(self):
+    def test_workload_drains(self):
         sender = FiniteSender(10)
-        emu, _s, _link = make_emulator(sender=sender)
+        emu, _s, link = make_emulator(sender=sender)
         emu.run_until(30.0)
+        assert emu.packets_sent == 10
         assert sender.total_acked == 10
         assert not sender.inflight
-        assert not emu._tick_armed
-        assert emu._events == []
-
-    def test_tick_rearms_on_next_send(self):
-        from repro.cc.network import _SEND
-
-        sender = FiniteSender(10)
-        emu, _s, _link = make_emulator(sender=sender)
-        emu.run_until(30.0)
-        assert not emu._tick_armed
-        # Resume the workload: the next transmit must re-arm the RTO tick.
-        sender.n_packets = 20
-        emu._schedule(emu.now, _SEND, None)
-        emu.run_until(emu.now + 0.01)
-        assert emu._tick_armed
-        assert any(event[2] != _SEND for event in emu._events)
-        emu.run_until(60.0)
-        assert sender.total_acked == 20
-        assert emu._events == []
+        assert emu.acks_in_flight == 0
+        assert not link.queue and not link.busy
         assert_conserved(emu)
+
+
+SENDERS = [BBRSender, CubicSender, RenoSender, CopaSender, VivaceSender]
+
+#: Random Table-1 points, one per 30 ms interval.
+table1_schedules = st.lists(
+    st.tuples(st.floats(6.0, 24.0), st.floats(15.0, 60.0), st.floats(0.0, 0.10)),
+    min_size=20, max_size=60,
+)
+#: Latency-only swings at a fixed 12 Mbps, loss-free link: the axis on
+#: which the delay model (per direction, on entry) matters.
+latency_schedules = st.lists(
+    st.floats(15.0, 60.0), min_size=20, max_size=60,
+).map(lambda lats: [(12.0, lat, 0.0) for lat in lats])
+
+
+class TestOneFlowView:
+    """The view adds bookkeeping only: it must match the engine driven
+    directly with one flow, interval by interval."""
+
+    @given(
+        st.sampled_from(SENDERS),
+        st.one_of(table1_schedules, latency_schedules),
+        st.integers(0, 2**16),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_matches_one_flow_engine(self, sender_cls, schedule, seed):
+        bw, lat, loss = schedule[0]
+        view = PacketNetworkEmulator(sender_cls(), TimeVaryingLink(bw, lat, loss), seed=seed)
+        link = TimeVaryingLink(bw, lat, loss)
+        engine = MultiFlowEmulator([sender_cls()], link, seed=seed)
+        for bw, lat, loss in schedule:
+            view.set_conditions(bw, lat, loss)
+            engine.set_conditions(bw, lat, loss)
+            drops = (link.drops_loss, link.drops_queue)
+            stats = view.run_interval(0.03)
+            (flow,) = engine.run_interval(0.03)
+            assert stats.bytes_delivered == flow.bytes_delivered
+            assert view.packets_sent == engine.packets_sent
+            assert stats.drops_loss == link.drops_loss - drops[0]
+            assert stats.drops_queue == link.drops_queue - drops[1]
+            assert view.link.queue_bytes() == link.queue_bytes()
+            assert stats.queue_delay_end_s == link.queuing_delay_estimate_s()
+            assert_conserved(view)
+            assert_conserved(engine)
+        assert view.link.bytes_delivered == sum(s.bytes_delivered for s in view.history)
